@@ -13,7 +13,6 @@ from .dense_guard import (
     DenseMaterializationError,
     dense_limit,
     dense_threshold,
-    set_dense_threshold,
 )
 from .hankel import (
     HankelVector,
@@ -97,7 +96,6 @@ __all__ = [
     "random_model",
     "random_observations",
     "relative_error",
-    "set_dense_threshold",
     "solve",
     "synthesize",
     "truncated_svd",

@@ -7,6 +7,10 @@ Flags override config-file keys, which override defaults. Exit codes:
 import argparse
 import os
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .csvio import (
     InputFileError,
@@ -66,70 +70,79 @@ def _parse_case(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
-# (config key, converter, default); flags default to None so that config
-# values are only used when the flag is absent
+class Setting(NamedTuple):
+    """Flag --key (underscores as dashes) of `commands`; `help` may name {default}.
+
+    Flags default to None: a --config key (`config`) is read only when its
+    flag is absent, and `default` applies when neither gives a value.
+    """
+
+    key: str
+    convert: Callable
+    default: object
+    help: str
+    commands: tuple[str, ...] = ("solve", "synth", "phase", "bench", "compare")
+    config: bool = True
+    action: str = "store"
+    metavar: Optional[str] = None
+
+
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+_SOLVER_KEYS = ("delta1", "delta2", "tol", "max_iter", "accelerated", "bound")
+
 _SETTINGS = {
-    "n": (int, None),
-    "rank": (int, None),
-    "samples": (int, None),
-    "seed": (int, 0),
-    "delta1": (float, 0.9999),
-    "delta2": (float, 0.9999),
-    "tol": (float, 1e-4),
-    "max_iter": (int, 1000),
-    "accelerated": (_parse_bool, False),
-    "bound": (float, None),
-    "threads": (int, None),
-    "trials": (int, 100),
-    "repeats": (int, 3),
-    "rank_values": (_parse_int_list, None),
-    "samples_values": (_parse_int_list, None),
-    "out": (str, "."),
+    s.key: s
+    for s in (
+        Setting("n", int, None, "Hankel dimension n; the signal has length 2n-1"),
+        Setting("rank", int, None, "number of sinusoids to fit"),
+        Setting("samples", int, None, "number of observed entries"),
+        Setting("seed", int, 0, "master seed (default {default})"),
+        Setting("delta1", float, _SOLVER_DEFAULTS["delta1"], "rank-step size in (0,1), default {default}"),
+        Setting("delta2", float, _SOLVER_DEFAULTS["delta2"], "data-step size in (0,1), default {default}"),
+        Setting("tol", float, _SOLVER_DEFAULTS["tol"], "relative-change stopping tolerance, default {default}"),
+        Setting("max_iter", int, _SOLVER_DEFAULTS["max_iter"], "iteration cap, default {default}"),
+        Setting("accelerated", _parse_bool, _SOLVER_DEFAULTS["accelerated"],
+                "use the momentum-accelerated iteration", action="store_true"),
+        Setting("bound", float, _SOLVER_DEFAULTS["bound"], "magnitude clamp for unobserved entries"),
+        Setting("threads", int, None, "worker processes for Monte Carlo trials"),
+        Setting("out", str, ".", "output directory (default current)"),
+        Setting("config", str, None, "flat key=value config file", config=False),
+        Setting("strict", _parse_bool, False, "exit with code 3 when the solver does not converge",
+                config=False, action="store_true"),
+        Setting("obs_file", str, None, "observed samples CSV (rows t,re,im)", ("solve",), config=False),
+        Setting("signal_file", str, None, "ground-truth signal CSV, enables error reporting",
+                ("solve",), config=False),
+        Setting("rank_values", _parse_int_list, None, "comma-separated sparsity values", ("phase",)),
+        Setting("samples_values", _parse_int_list, None, "comma-separated sample counts", ("phase",)),
+        Setting("trials", int, 100, "Monte Carlo trials per cell (default {default})", ("phase",)),
+        Setting("case", _parse_case, ((51, 1, 10), (51, 3, 20), (101, 5, 40)), "instance shape; repeatable",
+                ("bench",), config=False, action="append", metavar="N,RANK,SAMPLES"),
+        Setting("repeats", int, 3, "timing repetitions, reported as the minimum", ("bench",)),
+    )
 }
 
 
-def build_parser() -> Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="Hankel dimension n; the signal has length 2n-1")
-    common.add_argument("--rank", type=int, help="number of sinusoids to fit")
-    common.add_argument("--samples", type=int, help="number of observed entries")
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--delta1", type=float, help="rank-step size in (0,1), default 0.9999")
-    common.add_argument("--delta2", type=float, help="data-step size in (0,1), default 0.9999")
-    common.add_argument("--tol", type=float, help="relative-change stopping tolerance, default 1e-4")
-    common.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap, default 1000")
-    common.add_argument("--accelerated", action="store_true", default=None,
-                        help="use the momentum-accelerated iteration")
-    common.add_argument("--bound", type=float, help="magnitude clamp for unobserved entries")
-    common.add_argument("--threads", type=int, help="worker processes for Monte Carlo trials")
-    common.add_argument("--out", help="output directory (default current)")
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--strict", action="store_true",
-                        help="exit with code 3 when the solver does not converge")
+def _show(value) -> str:
+    """A default as help text spells it: the shorter of 0.0001 and 1e-4."""
+    if isinstance(value, float):
+        return min(repr(value), np.format_float_scientific(value, trim="-", exp_digits=1), key=len)
+    return str(value)
 
+
+def build_parser() -> Parser:
     parser = Parser(prog="lrhankel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", parents=[common], help="recover one signal")
-    p_solve.add_argument("--obs-file", help="observed samples CSV (rows t,re,im)")
-    p_solve.add_argument("--signal-file", help="ground-truth signal CSV, enables error reporting")
-
-    sub.add_parser("synth", parents=[common], help="write a synthetic instance")
-
-    p_phase = sub.add_parser("phase", parents=[common], help="success-rate sweep over (rank, samples)")
-    p_phase.add_argument("--rank-values", dest="rank_values", type=_parse_int_list,
-                         help="comma-separated sparsity values")
-    p_phase.add_argument("--samples-values", dest="samples_values", type=_parse_int_list,
-                         help="comma-separated sample counts")
-    p_phase.add_argument("--trials", type=int, help="Monte Carlo trials per cell (default 100)")
-
-    p_bench = sub.add_parser("bench", parents=[common], help="wall-clock timing of solves")
-    p_bench.add_argument("--case", action="append", type=_parse_case, metavar="N,RANK,SAMPLES",
-                         help="instance shape; repeatable")
-    p_bench.add_argument("--repeats", type=int, help="timing repetitions, reported as the minimum")
-
-    sub.add_parser("compare", parents=[common], help="plain vs accelerated iteration logs")
-
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for s in _SETTINGS.values():
+            if command not in s.commands:
+                continue
+            flag = "--" + s.key.replace("_", "-")
+            text = s.help.format(default=_show(s.default))
+            if s.action == "store_true":
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, action=s.action, type=s.convert, metavar=s.metavar, help=text)
     return parser
 
 
@@ -144,10 +157,10 @@ class Settings:
         flag = getattr(self._args, key, None)
         if flag is not None:
             return flag
-        converter, default = _SETTINGS[key]
+        setting = _SETTINGS[key]
         if key in self._config:
-            return converter(self._config[key])
-        return default
+            return setting.convert(self._config[key])
+        return setting.default
 
     def require(self, key: str):
         value = self.get(key)
@@ -157,16 +170,7 @@ class Settings:
 
 
 def _solver_config(settings: Settings, rank: int, svd_seed: int) -> SolverConfig:
-    return SolverConfig(
-        rank=rank,
-        delta1=settings.get("delta1"),
-        delta2=settings.get("delta2"),
-        tol=settings.get("tol"),
-        max_iter=settings.get("max_iter"),
-        accelerated=settings.get("accelerated"),
-        bound=settings.get("bound"),
-        svd_seed=svd_seed,
-    )
+    return SolverConfig(rank=rank, svd_seed=svd_seed, **{key: settings.get(key) for key in _SOLVER_KEYS})
 
 
 def _history_rows(result: RecoveryResult):
@@ -202,21 +206,21 @@ def _write_solve_outputs(out_dir, result, n, rank, x_true=None):
     write_csv(os.path.join(out_dir, "summary.csv"), ["key", "value"], summary)
 
 
-def cmd_solve(args) -> int:
-    settings = Settings(args, _load_config(args))
+def cmd_solve(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
     seed = settings.get("seed")
     out_dir = settings.get("out")
 
-    if args.obs_file is not None:
-        obs = read_observation_file(args.obs_file, n)
+    obs_file, signal_file = settings.get("obs_file"), settings.get("signal_file")
+    if obs_file is not None:
+        obs = read_observation_file(obs_file, n)
         x_true = None
-        if args.signal_file is not None:
-            x_true = read_signal_file(args.signal_file)
+        if signal_file is not None:
+            x_true = read_signal_file(signal_file)
             if len(x_true) != 2 * n - 1:
                 raise InputFileError(
-                    f"{args.signal_file}: signal length {len(x_true)} does not match n={n}"
+                    f"{signal_file}: signal length {len(x_true)} does not match n={n}"
                 )
     else:
         samples = settings.require("samples")
@@ -225,14 +229,13 @@ def cmd_solve(args) -> int:
 
     result = solve(obs, _solver_config(settings, rank, svd_seed=seed))
     _write_solve_outputs(out_dir, result, n, rank, x_true)
-    if args.strict and not result.converged:
+    if settings.get("strict") and not result.converged:
         print("solver did not converge within max_iter", file=sys.stderr)
         return 3
     return 0
 
 
-def cmd_synth(args) -> int:
-    settings = Settings(args, _load_config(args))
+def cmd_synth(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
     samples = settings.require("samples")
@@ -252,8 +255,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_phase(args) -> int:
-    settings = Settings(args, _load_config(args))
+def cmd_phase(settings: Settings) -> int:
     grid = ExperimentGrid(
         n=settings.require("n"),
         rank_values=settings.require("rank_values"),
@@ -283,11 +285,9 @@ def cmd_phase(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    settings = Settings(args, _load_config(args))
-    cases = args.case or [(51, 1, 10), (51, 3, 20), (101, 5, 40)]
+def cmd_bench(settings: Settings) -> int:
     rows = run_bench(
-        cases,
+        settings.get("case"),
         _solver_config(settings, rank=1, svd_seed=0),
         master_seed=settings.get("seed"),
         repeats=settings.get("repeats"),
@@ -312,8 +312,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    settings = Settings(args, _load_config(args))
+def cmd_compare(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
     samples = settings.require("samples")
@@ -348,28 +347,28 @@ def cmd_compare(args) -> int:
             ["iteration_ratio", fmt_float(accel.iterations / plain.iterations)],
         ],
     )
-    if args.strict and not (plain.converged and accel.converged):
+    if settings.get("strict") and not (plain.converged and accel.converged):
         print("at least one solver did not converge within max_iter", file=sys.stderr)
         return 3
     return 0
 
 
-def _load_config(args) -> dict[str, str]:
+def _load_config(args: argparse.Namespace) -> dict[str, str]:
     if args.config is None:
         return {}
     config = read_config_file(args.config)
-    unknown = set(config) - set(_SETTINGS)
+    unknown = set(config) - {key for key, s in _SETTINGS.items() if s.config}
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return config
 
 
 _COMMANDS = {
-    "solve": cmd_solve,
-    "synth": cmd_synth,
-    "phase": cmd_phase,
-    "bench": cmd_bench,
-    "compare": cmd_compare,
+    "solve": (cmd_solve, "recover one signal"),
+    "synth": (cmd_synth, "write a synthetic instance"),
+    "phase": (cmd_phase, "success-rate sweep over (rank, samples)"),
+    "bench": (cmd_bench, "wall-clock timing of solves"),
+    "compare": (cmd_compare, "plain vs accelerated iteration logs"),
 }
 
 
@@ -377,7 +376,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        command, _ = _COMMANDS[args.command]
+        return command(Settings(args, _load_config(args)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

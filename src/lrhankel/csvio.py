@@ -6,6 +6,7 @@ complex values occupy a re,im column pair. Signal files hold rows "t,re,im"
 for every t; observation files hold the same rows for observed t only.
 """
 
+import cmath
 import os
 from typing import Iterable, Sequence
 
@@ -75,6 +76,8 @@ def _parse_rows(path) -> list[tuple[int, int, complex]]:
                 value = complex(float(parts[1]), float(parts[2]))
             except ValueError as exc:
                 raise InputFileError(f"{path}:{line_no}: {exc}") from None
+            if not cmath.isfinite(value):
+                raise InputFileError(f"{path}:{line_no}: sample value must be finite, got {line!r}")
             out.append((line_no, t, value))
     return out
 

@@ -2,15 +2,17 @@
 
 Everything in this package is designed to run in O(n R) memory. Dense
 matrices are still useful below a size cutoff, both as a fast path and as
-a test oracle, so densification is allowed up to a configurable threshold
-and refused above it.
+a test oracle, so densification is allowed up to a threshold and refused
+above it. The threshold is per context: `dense_limit` changes it for the
+calling thread (or asyncio task) only.
 """
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_DENSE_THRESHOLD = 256
 
-_threshold = DEFAULT_DENSE_THRESHOLD
+_threshold: ContextVar[int] = ContextVar("dense_threshold", default=DEFAULT_DENSE_THRESHOLD)
 
 
 class DenseMaterializationError(RuntimeError):
@@ -18,34 +20,27 @@ class DenseMaterializationError(RuntimeError):
 
 
 def dense_threshold() -> int:
-    return _threshold
-
-
-def set_dense_threshold(value: int) -> None:
-    """Set the largest n for which dense n-by-n buffers may be allocated."""
-    global _threshold
-    if value < 0:
-        raise ValueError(f"dense threshold must be nonnegative, got {value}")
-    _threshold = value
+    return _threshold.get()
 
 
 @contextmanager
 def dense_limit(value: int):
-    """Temporarily override the dense threshold (mainly for tests)."""
-    global _threshold
-    previous = _threshold
-    set_dense_threshold(value)
+    """Set the largest n for which dense n-by-n buffers may be allocated, for the block."""
+    if value < 0:
+        raise ValueError(f"dense threshold must be nonnegative, got {value}")
+    token = _threshold.set(value)
     try:
         yield
     finally:
-        _threshold = previous
+        _threshold.reset(token)
 
 
 def ensure_dense_allowed(n: int, context: str = "") -> None:
     """Raise DenseMaterializationError if an n-by-n allocation is out of policy."""
-    if n > _threshold:
+    threshold = _threshold.get()
+    if n > threshold:
         where = f" in {context}" if context else ""
         raise DenseMaterializationError(
             f"refusing to materialize a dense {n}x{n} matrix{where}: "
-            f"n exceeds the dense threshold {_threshold}"
+            f"n exceeds the dense threshold {threshold}"
         )

@@ -130,7 +130,6 @@ def run_bench(
     cfg: SolverConfig,
     master_seed: int,
     repeats: int = 3,
-    warmup: bool = True,
 ) -> list[BenchRow]:
     """Wall-clock solve times (min over `repeats` runs), synthesis excluded.
 
@@ -146,9 +145,8 @@ def run_bench(
         seed = trial_seed(master_seed, rank, samples, n)
         prepared.append((n, rank, samples, make_instance(n, rank, samples, seed), seed))
 
-    if warmup:
-        n, rank, samples, inst, seed = min(prepared, key=lambda c: c[0])
-        solve(inst.obs, replace(cfg, rank=rank, svd_seed=seed))
+    n, rank, samples, inst, seed = min(prepared, key=lambda c: c[0])
+    solve(inst.obs, replace(cfg, rank=rank, svd_seed=seed))
 
     rows = []
     for n, rank, samples, inst, seed in prepared:

@@ -70,6 +70,8 @@ class ObservationSet:
             raise ValueError(
                 f"{idx.shape[0]} indices but {vals.shape[0]} observed values"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("observed values must be finite")
         if idx.size:
             if idx[0] < 0 or idx[-1] > 2 * self.n - 2:
                 raise ValueError(f"indices must lie in [0, {2 * self.n - 2}]")
@@ -118,26 +120,27 @@ def _correlate(zf: np.ndarray, v: np.ndarray, n: int, length: int) -> np.ndarray
 
 def hankel_matvec(h: HankelVector, v: np.ndarray) -> np.ndarray:
     """H(z) @ v through FFT convolution, O(n log n) time."""
-    length = fft_length(h.n)
-    return _correlate(np.fft.fft(h.values, length), v, h.n, length)
+    return hankel_operator(h).apply(v)
 
 
 def hankel_adjoint_matvec(h: HankelVector, v: np.ndarray) -> np.ndarray:
-    """H(z)* @ v. Hankel matrices are complex symmetric, so H* = conj(H)."""
-    length = fft_length(h.n)
-    return _correlate(np.fft.fft(np.conj(h.values), length), v, h.n, length)
+    """H(z)* @ v, through the symmetry in hankel_operator."""
+    return hankel_operator(h).apply_adjoint(v)
 
 
 def hankel_operator(h: HankelVector) -> LinearOperator:
-    """Matvec contract for H(z) with the parameter transform cached."""
+    """Matvec contract for H(z); H is complex symmetric, so H* v = conj(H conj(v)) reuses one transform."""
     n = h.n
     length = fft_length(n)
     zf = np.fft.fft(h.values, length)
-    zcf = np.fft.fft(np.conj(h.values), length)
+
+    def apply(v):
+        return _correlate(zf, v, n, length)
+
     return LinearOperator(
         n=n,
-        apply=lambda v: _correlate(zf, v, n, length),
-        apply_adjoint=lambda v: _correlate(zcf, v, n, length),
+        apply=apply,
+        apply_adjoint=lambda v: np.conj(apply(np.conj(v))),
         materialize=lambda: hankel_dense(h),
     )
 
@@ -187,24 +190,25 @@ def project_dense_to_hankel(X: np.ndarray, obs: Optional[ObservationSet] = None)
 
 def project_hankel_blend(
     h: HankelVector,
-    f: LowRankFactors,
+    sums: np.ndarray,
     delta2: float,
     obs: ObservationSet,
 ) -> HankelVector:
     """Data-consistent Hankel projection of (1-delta2)*H(z) + delta2*L.
 
-    Unobserved coordinate j of the blend has anti-diagonal mean
-    (1-delta2)*z[j] + delta2*sums(L)[j]/w[j]; observed coordinates are
+    `sums` are the anti-diagonal sums of L (antidiag_sums_lowrank). Unobserved
+    coordinate j of the blend has anti-diagonal mean
+    (1-delta2)*z[j] + delta2*sums[j]/w[j]; observed coordinates are
     overwritten last so they match the data bit for bit. The blended matrix
     is never formed densely.
     """
     if not 0.0 < delta2 < 1.0:
         raise ValueError(f"delta2 must lie in (0, 1), got {delta2}")
-    if f.n != h.n or obs.n != h.n:
+    if sums.shape != h.values.shape or obs.n != h.n:
         raise ValueError(
-            f"dimension mismatch: h has n={h.n}, factors n={f.n}, observations n={obs.n}"
+            f"dimension mismatch: h has n={h.n}, sums length {sums.shape[0]}, observations n={obs.n}"
         )
-    means = antidiag_sums_lowrank(f) / antidiag_weights(h.n)
+    means = sums / antidiag_weights(h.n)
     out = h.values - delta2 * (h.values - means)
     out[obs.indices] = obs.values
     return HankelVector(h.n, out)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import hankel
 from .hankel import (
     HankelVector,
     ObservationSet,
@@ -28,7 +29,6 @@ from .hankel import (
     hankel_dense,
     hankel_frobenius_sq,
     hankel_operator,
-    inner_product_lowrank_hankel,
     project_hankel_blend,
 )
 from .lowrank import (
@@ -81,8 +81,8 @@ class IterateState:
     """State after t iterations; all fields are feasible by construction."""
 
     factors: LowRankFactors
+    sums: np.ndarray  # anti-diagonal sums of factors, one pass per rank projection
     z: HankelVector
-    z_prev: HankelVector
     z_tilde: HankelVector
     momentum: float
     t: int
@@ -125,11 +125,11 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
     )
 
 
-def objective(f: LowRankFactors, h: HankelVector) -> float:
-    """0.5 * ||L - H(z)||_F^2 evaluated factor-wise, clamped at 0 for roundoff."""
+def objective(f: LowRankFactors, h: HankelVector, sums: np.ndarray) -> float:
+    """0.5 * ||L - H(z)||_F^2 from L's factors and anti-diagonal sums, clamped at 0 for roundoff."""
     value = 0.5 * (
         f.frobenius_sq()
-        - 2.0 * inner_product_lowrank_hankel(f, h).real
+        - 2.0 * np.sum(sums * np.conj(h.values)).real
         + hankel_frobenius_sq(h)
     )
     return max(value, 0.0)
@@ -153,21 +153,29 @@ def init_state(obs: ObservationSet, cfg: SolverConfig) -> IterateState:
     z0[obs.indices] = obs.values
     h0 = HankelVector(obs.n, z0)
     f0 = project_rank(hankel_operator(h0), cfg.rank, tol=cfg.svd_tol, seed=cfg.svd_seed)
-    return IterateState(factors=f0, z=h0, z_prev=h0, z_tilde=h0, momentum=1.0, t=0)
+    sums = hankel.antidiag_sums_lowrank(f0)
+    return IterateState(factors=f0, sums=sums, z=h0, z_tilde=h0, momentum=1.0, t=0)
 
 
-def pgd_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> IterateState:
-    """One plain descent iteration."""
+def _half_steps(f: LowRankFactors, centre: HankelVector, obs: ObservationSet, cfg: SolverConfig):
+    """New factors toward H(centre), their anti-diagonal sums, and the data step from centre."""
     f1 = project_rank(
-        blend_operator(state.factors, state.z, cfg.delta1),
+        blend_operator(f, centre, cfg.delta1),
         cfg.rank,
         tol=cfg.svd_tol,
         seed=cfg.svd_seed,
     )
-    z1 = project_hankel_blend(state.z, f1, cfg.delta2, obs)
+    sums = hankel.antidiag_sums_lowrank(f1)
+    z1 = project_hankel_blend(centre, sums, cfg.delta2, obs)
     if cfg.bound is not None:
         z1 = _clamped(z1, cfg.bound, obs)
-    return IterateState(factors=f1, z=z1, z_prev=state.z, z_tilde=z1, momentum=1.0, t=state.t + 1)
+    return f1, sums, z1
+
+
+def pgd_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> IterateState:
+    """One plain descent iteration."""
+    f1, sums, z1 = _half_steps(state.factors, state.z, obs, cfg)
+    return IterateState(factors=f1, sums=sums, z=z1, z_tilde=z1, momentum=1.0, t=state.t + 1)
 
 
 def fista_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> IterateState:
@@ -182,21 +190,13 @@ def fista_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> I
     pgd_step exactly. Extrapolation keeps observed coordinates exact; when
     a magnitude bound is active it is applied after the extrapolation too.
     """
-    f1 = project_rank(
-        blend_operator(state.factors, state.z_tilde, cfg.delta1),
-        cfg.rank,
-        tol=cfg.svd_tol,
-        seed=cfg.svd_seed,
-    )
-    z1 = project_hankel_blend(state.z_tilde, f1, cfg.delta2, obs)
-    if cfg.bound is not None:
-        z1 = _clamped(z1, cfg.bound, obs)
+    f1, sums, z1 = _half_steps(state.factors, state.z_tilde, obs, cfg)
     k_next = (math.sqrt(1.0 + 4.0 * state.momentum**2) + 1.0) / 2.0
     coeff = (state.momentum - 1.0) / k_next
     z_tilde = HankelVector(obs.n, z1.values + coeff * (z1.values - state.z.values))
     if cfg.bound is not None:
         z_tilde = _clamped(z_tilde, cfg.bound, obs)
-    return IterateState(factors=f1, z=z1, z_prev=state.z, z_tilde=z_tilde, momentum=k_next, t=state.t + 1)
+    return IterateState(factors=f1, sums=sums, z=z1, z_tilde=z_tilde, momentum=k_next, t=state.t + 1)
 
 
 def solve(obs: ObservationSet, cfg: SolverConfig) -> RecoveryResult:
@@ -213,14 +213,14 @@ def solve(obs: ObservationSet, cfg: SolverConfig) -> RecoveryResult:
     weights = antidiag_weights(obs.n)
     step = fista_step if cfg.accelerated else pgd_step
     state = init_state(obs, cfg)
-    objective_history = [objective(state.factors, state.z)]
+    objective_history = [objective(state.factors, state.z, state.sums)]
     relchange_history = []
     converged = False
 
     for _ in range(cfg.max_iter):
         previous = state.z.values
         state = step(state, obs, cfg)
-        current = objective(state.factors, state.z)
+        current = objective(state.factors, state.z, state.sums)
         if cfg.accelerated and current > objective_history[-1]:
             state = replace(state, momentum=1.0, z_tilde=state.z)
         objective_history.append(current)

@@ -50,11 +50,14 @@ class TestSolve:
         assert code == 2
         assert not out.exists()
 
-    def test_malformed_observation_file(self, tmp_path):
+    def test_malformed_observation_file(self, tmp_path, capsys):
         bad = tmp_path / "obs.csv"
-        bad.write_text("t,re,im\n0,1,0\n1,broken,0\n")
-        code = run("solve", "--n", 8, "--rank", 1, "--obs-file", bad, "--out", tmp_path / "o")
-        assert code == 2
+        # n=64 would take the dense rank projection, n=300 the Lanczos one
+        for n, row in ((8, "1,broken,0"), (64, "1,nan,0"), (300, "1,0,inf")):
+            bad.write_text(f"t,re,im\n0,1,0\n{row}\n")
+            code = run("solve", "--n", n, "--rank", 1, "--obs-file", bad, "--out", tmp_path / "o")
+            assert code == 2
+            assert f"{bad}:3:" in capsys.readouterr().err
 
     def test_strict_nonconvergence_exit_code(self, tmp_path):
         code = run(

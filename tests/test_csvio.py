@@ -57,9 +57,10 @@ class TestSignalFiles:
 
     def test_malformed_field_reports_line(self, tmp_path):
         path = tmp_path / "signal.csv"
-        path.write_text("t,re,im\n0,1,0\n1,oops,0\n2,3,0\n")
-        with pytest.raises(InputFileError, match=":3:"):
-            read_signal_file(path)
+        for row in ("1,oops,0", "1,nan,0", "1,0,inf", "1,-inf,nan"):
+            path.write_text(f"t,re,im\n0,1,0\n{row}\n2,3,0\n")
+            with pytest.raises(InputFileError, match=":3:"):
+                read_signal_file(path)
 
 
 class TestObservationFiles:

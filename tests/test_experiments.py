@@ -135,7 +135,7 @@ class TestBench:
             (5001, 31, 2000),
         ]
         cfg = SolverConfig(rank=1, max_iter=5, tol=1e-30)
-        rows = run_bench(cases, cfg, master_seed=2, repeats=1, warmup=False)
+        rows = run_bench(cases, cfg, master_seed=2, repeats=1)
         assert [(r.n, r.rank, r.samples) for r in rows] == cases
         assert all(r.iterations == 5 for r in rows)
         assert all(np.isfinite(r.elapsed_seconds) for r in rows)

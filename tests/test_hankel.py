@@ -69,6 +69,9 @@ class TestTypes:
             ObservationSet(3, [0, 5], [1.0, 2.0])
         with pytest.raises(ValueError, match="values"):
             ObservationSet(3, [0, 1], [1.0])
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ObservationSet(3, [0, 1], [1.0, bad])
 
     def test_observation_set_allows_empty(self):
         obs = ObservationSet(3, [], [])
@@ -254,7 +257,7 @@ class TestProjection:
         f = LowRankFactors(n, U[:, :1], s[:1], Vh[:1].conj().T)
         idx = np.sort(rng.choice(2 * n - 1, size=5, replace=False))
         obs = ObservationSet(n, idx, x[idx])
-        out = project_hankel_blend(h, f, 0.5, obs)
+        out = project_hankel_blend(h, antidiag_sums_lowrank(f), 0.5, obs)
         assert np.allclose(out.values, x, atol=1e-10)
         assert np.array_equal(out.values[idx], x[idx])
 
@@ -268,7 +271,7 @@ class TestProjection:
             idx = np.sort(rng.choice(2 * n - 1, size=m, replace=False))
             obs = ObservationSet(n, idx, rng.standard_normal(m) + 1j * rng.standard_normal(m))
             delta2 = float(rng.uniform(0.05, 0.95))
-            got = project_hankel_blend(h, f, delta2, obs)
+            got = project_hankel_blend(h, antidiag_sums_lowrank(f), delta2, obs)
             blend = (1 - delta2) * dense_hankel(h.values) + delta2 * lowrank_dense(f)
             expected = project_dense_to_hankel(blend, obs)
             assert np.allclose(got.values, expected.values, rtol=1e-11, atol=1e-11)
@@ -279,7 +282,7 @@ class TestProjection:
         obs = ObservationSet(3, [0], [1.0])
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="delta2"):
-                project_hankel_blend(h, f, bad, obs)
+                project_hankel_blend(h, antidiag_sums_lowrank(f), bad, obs)
 
 
 class TestNorms:

@@ -9,7 +9,9 @@ from lrhankel import (
     ObservationSet,
     SolverConfig,
     SpectralModel,
+    antidiag_sums_lowrank,
     dense_limit,
+    dense_threshold,
     fista_step,
     hankel_dense,
     init_state,
@@ -20,6 +22,7 @@ from lrhankel import (
     solve,
     synthesize,
 )
+from lrhankel.dense_guard import DEFAULT_DENSE_THRESHOLD
 from lrhankel.lowrank import LowRankFactors
 
 from dense_reference import (
@@ -78,7 +81,7 @@ class TestInit:
         x = synthesize(SpectralModel([0.2, 0.6], [1.0, 1.0 + 1.0j]), 15)
         state = init_state(full_observation(x), SolverConfig(rank=2))
         scale = np.linalg.norm(x) ** 2
-        assert objective(state.factors, state.z) <= 1e-12 * scale
+        assert objective(state.factors, state.z, state.sums) <= 1e-12 * scale
 
     def test_momentum_starts_at_one(self):
         state = init_state(ObservationSet(3, [1], [1.0]), SolverConfig(rank=1))
@@ -92,10 +95,11 @@ class TestObjective:
         h = HankelVector(5, z)
         U, s, Vh = np.linalg.svd(hankel_dense(h))
         f = LowRankFactors(5, U, s, Vh.conj().T)
-        assert objective(f, h) <= 1e-10
+        assert objective(f, h, antidiag_sums_lowrank(f)) <= 1e-10
 
     def test_zero_factor_example(self):
-        assert objective(LowRankFactors.zero(2), HankelVector(2, [1, 1, 1])) == 2.0
+        f = LowRankFactors.zero(2)
+        assert objective(f, HankelVector(2, [1, 1, 1]), antidiag_sums_lowrank(f)) == 2.0
 
     @pytest.mark.parametrize("n", [2, 5, 9, 16])
     def test_matches_dense_formula(self, n):
@@ -107,7 +111,7 @@ class TestObjective:
         r = min(3, n)
         f = LowRankFactors(n, U[:, :r], s[:r], Vh[:r].conj().T)
         expected = 0.5 * np.linalg.norm(densify(f) - hankel_dense(h)) ** 2
-        assert abs(objective(f, h) - expected) <= 1e-10 * max(expected, 1.0)
+        assert abs(objective(f, h, antidiag_sums_lowrank(f)) - expected) <= 1e-10 * max(expected, 1.0)
 
 
 class TestSteps:
@@ -125,7 +129,7 @@ class TestSteps:
         obs = full_observation(x)
         cfg = SolverConfig(rank=1)
         state = pgd_step(init_state(obs, cfg), obs, cfg)
-        assert objective(state.factors, state.z) <= 1e-16
+        assert objective(state.factors, state.z, state.sums) <= 1e-16
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pgd_half_step_descent(self, seed):
@@ -139,10 +143,10 @@ class TestSteps:
         )
         state = init_state(inst.obs, cfg)
         for _ in range(5):
-            before = objective(state.factors, state.z)
+            before = objective(state.factors, state.z, state.sums)
             after = pgd_step(state, inst.obs, cfg)
-            mid = objective(after.factors, state.z)
-            final = objective(after.factors, after.z)
+            mid = objective(after.factors, state.z, after.sums)
+            final = objective(after.factors, after.z, after.sums)
             slack = 1e-12 * max(before, 1.0)
             assert mid <= before + slack
             assert final <= mid + slack
@@ -295,7 +299,7 @@ class TestSolve:
                 state = pgd_step(state, inst.obs, cfg)
             assert np.linalg.norm(state.z.values - ref.z) <= 1e-8 * scale
             assert np.linalg.norm(densify(state.factors) - ref.L) <= 1e-8 * scale
-            assert abs(objective(state.factors, state.z) - dense_objective(ref)) <= 1e-8 * scale**2
+            assert abs(objective(state.factors, state.z, state.sums) - dense_objective(ref)) <= 1e-8 * scale**2
 
     def test_accelerated_not_slower_to_converge(self):
         inst = make_instance(48, 3, 36, seed=10)
@@ -316,6 +320,36 @@ class TestSolve:
         scale = np.linalg.norm(inst.x_true)
         assert np.linalg.norm(result.z_hat - z_ref) <= 1e-8 * scale
         assert np.allclose(result.objective_history, objs_ref, rtol=1e-8, atol=1e-10 * scale**2)
+
+    def test_dense_limit_is_per_thread(self):
+        # a dense_limit held by one thread leaves another thread's threshold
+        # and its solve, which stays on the dense path at n=64, untouched
+        import threading
+
+        inst = make_instance(64, 2, 40, seed=12)
+        cfg = SolverConfig(rank=2, max_iter=20, svd_seed=12)
+        expected = solve(inst.obs, cfg).z_hat
+        held, release, seen = threading.Event(), threading.Event(), []
+
+        def hold():
+            with dense_limit(0):
+                seen.append(dense_threshold())
+                held.set()
+                release.wait(timeout=60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=60)
+            assert dense_threshold() == DEFAULT_DENSE_THRESHOLD
+            assert np.array_equal(solve(inst.obs, cfg).z_hat, expected)
+        finally:
+            release.set()
+            holder.join(timeout=60)
+        assert not holder.is_alive()
+        assert seen == [0]
+        with dense_limit(0):
+            assert not np.array_equal(solve(inst.obs, cfg).z_hat, expected)
 
     def test_concurrent_solves_match_sequential(self):
         # solves share no mutable state, so racing them changes nothing
