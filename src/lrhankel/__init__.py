@@ -24,7 +24,6 @@ from .hankel import (
     hankel_frobenius_sq,
     hankel_matvec,
     hankel_operator,
-    inner_product_lowrank_hankel,
     project_dense_to_hankel,
     project_hankel_blend,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "hankel_matvec",
     "hankel_operator",
     "init_state",
-    "inner_product_lowrank_hankel",
     "lowrank_matvec",
     "make_instance",
     "objective",

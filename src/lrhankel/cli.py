@@ -29,6 +29,7 @@ from .experiments import (
     run_compare,
     run_phase,
 )
+from .lowrank import SvdConvergenceError
 from .signal import (
     PencilConditionError,
     extract_frequencies,
@@ -384,6 +385,10 @@ def main(argv=None) -> int:
     except (InputFileError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (SvdConvergenceError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

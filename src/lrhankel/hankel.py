@@ -98,9 +98,10 @@ def antidiag_weights(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def fft_length(n: int) -> int:
-    # smallest power of two holding the length-(3n-2) linear convolution,
-    # fixed at >= 2(2n-1) so one plan size serves every product at this n
-    return 1 << (4 * n - 3).bit_length()
+    # smallest power of two >= 2n-1: the anti-diagonal sums are 2n-1 long, and
+    # the matvec reads outputs n-1..2n-2 of a length-(3n-2) convolution, which
+    # wrap-around at this length never reaches
+    return 1 << (2 * n - 2).bit_length()
 
 
 def hankel_dense(h: HankelVector) -> np.ndarray:
@@ -218,9 +219,3 @@ def hankel_frobenius_sq(h: HankelVector) -> float:
     """Squared Frobenius norm of H(z): sum_j w[j] |z[j]|^2."""
     return float(np.sum(antidiag_weights(h.n) * np.abs(h.values) ** 2))
 
-
-def inner_product_lowrank_hankel(f: LowRankFactors, h: HankelVector) -> complex:
-    """Frobenius inner product <L, H(z)> = trace(H(z)* L), no densification."""
-    if f.n != h.n:
-        raise ValueError(f"dimension mismatch: factors n={f.n}, h n={h.n}")
-    return complex(np.sum(antidiag_sums_lowrank(f) * np.conj(h.values)))

@@ -3,9 +3,11 @@
 Iterates of the solver are square complex matrices that are never formed
 densely. They are handled either as rank factorizations (U, sigma, V) or
 through matvec callbacks, and the best rank-R approximation is computed by
-Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization. Below
-the dense threshold a plain dense SVD is used instead, which doubles as the
-built-in oracle for tests.
+Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization. The
+Ritz estimates are checked after every step once the Krylov dimension
+exceeds R, and the returned triplets are confirmed by explicit residuals.
+Below the dense threshold a plain dense SVD is used instead, which doubles
+as the built-in oracle for tests.
 """
 
 from dataclasses import dataclass
@@ -156,19 +158,23 @@ def _reorthogonalize(x: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.nd
     # classical Gram-Schmidt, two passes ("twice is enough")
     for _ in range(passes):
         if basis.shape[0]:
-            x = x - basis.T @ (basis.conj() @ x)
+            x = x - basis.T @ np.conj(basis @ np.conj(x))
     return x
 
 
 def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> LowRankFactors:
     n = op.n
     rng = np.random.default_rng(seed)
-    max_rounds = 10 * rank + 50
-    block = max(rank, 8)
-    k_target = min(n, max(2 * rank + 10, 16))
+    # the Ritz estimates are checked after every step from rank+1 steps on
+    # (or n, if smaller); the cap bounds what a projection that never
+    # converges can cost
+    max_steps = min(n, 10 * rank + 50)
+    first_check = min(rank + 1, n)
 
-    Ub = np.zeros((k_target, n), dtype=np.complex128)
-    Vb = np.zeros((k_target, n), dtype=np.complex128)
+    # rows past the last step are never read; left uninitialised, their
+    # pages are never touched and cost no resident memory
+    Ub = np.empty((max_steps, n), dtype=np.complex128)
+    Vb = np.empty((max_steps, n), dtype=np.complex128)
     alphas: list[float] = []
     betas: list[float] = []
 
@@ -179,55 +185,49 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
     scale = 0.0
     k = 0
 
-    for _ in range(max_rounds + 1):
-        if k_target > Ub.shape[0]:
-            grow = k_target - Ub.shape[0]
-            Ub = np.concatenate([Ub, np.zeros((grow, n), dtype=np.complex128)])
-            Vb = np.concatenate([Vb, np.zeros((grow, n), dtype=np.complex128)])
+    while k < max_steps:
+        Vb[k] = v
+        u = op.apply(v) - beta_prev * u_prev
+        u = _reorthogonalize(u, Ub[:k])
+        alpha = float(np.linalg.norm(u))
+        scale = max(scale, alpha)
+        if alpha <= 1e-14 * max(scale, 1.0):
+            alpha = 0.0
+            fresh = _fresh_direction(rng, Ub, k, n)
+            u = fresh if fresh is not None else np.zeros(n, dtype=np.complex128)
+        else:
+            u = u / alpha
+        Ub[k] = u
 
-        while k < k_target:
-            Vb[k] = v
-            u = op.apply(v) - beta_prev * u_prev
-            u = _reorthogonalize(u, Ub[:k])
-            alpha = float(np.linalg.norm(u))
-            scale = max(scale, alpha)
-            if alpha <= 1e-14 * max(scale, 1.0):
-                alpha = 0.0
-                fresh = _fresh_direction(rng, Ub, k, n)
-                u = fresh if fresh is not None else np.zeros(n, dtype=np.complex128)
-            else:
-                u = u / alpha
-            Ub[k] = u
-
-            w = op.apply_adjoint(u) - alpha * v
-            w = _reorthogonalize(w, Vb[: k + 1])
-            beta = float(np.linalg.norm(w))
-            scale = max(scale, beta)
-            if k + 1 >= n:
-                beta, w = 0.0, np.zeros(n, dtype=np.complex128)
-            elif beta <= 1e-14 * max(scale, 1.0):
-                beta = 0.0
-                fresh = _fresh_direction(rng, Vb, k + 1, n)
-                w = fresh if fresh is not None else np.zeros(n, dtype=np.complex128)
-            else:
-                w = w / beta
-            alphas.append(alpha)
-            betas.append(beta)
-            v, u_prev, beta_prev = w, u, beta
-            k += 1
+        w = op.apply_adjoint(u) - alpha * v
+        w = _reorthogonalize(w, Vb[: k + 1])
+        beta = float(np.linalg.norm(w))
+        scale = max(scale, beta)
+        if k + 1 >= n:
+            beta, w = 0.0, np.zeros(n, dtype=np.complex128)
+        elif beta <= 1e-14 * max(scale, 1.0):
+            beta = 0.0
+            fresh = _fresh_direction(rng, Vb, k + 1, n)
+            w = fresh if fresh is not None else np.zeros(n, dtype=np.complex128)
+        else:
+            w = w / beta
+        alphas.append(alpha)
+        betas.append(beta)
+        v, u_prev, beta_prev = w, u, beta
+        k += 1
+        if k < first_check:
+            continue
 
         # Ritz values of the k-by-k upper bidiagonal projection
         B = np.diag(alphas) + np.diag(betas[: k - 1], 1)
         P, s, Qt = np.linalg.svd(B)
-        r = min(rank, k)
-        sigma_max = s[0] if k else 0.0
-        floor = tol * max(sigma_max, 1e-300)
-        estimates = betas[k - 1] * np.abs(P[k - 1, :r])
+        floor = tol * max(s[0], 1e-300)
+        estimates = betas[k - 1] * np.abs(P[k - 1, :rank])
         if np.all(estimates <= floor):
-            keep = s[:r] > 0
-            U = Ub[:k].T @ P[:, :r][:, keep]
-            V = Vb[:k].T @ Qt[:r, :].conj().T[:, keep]
-            sigma = s[:r][keep]
+            keep = s[:rank] > 0
+            U = Ub[:k].T @ P[:, :rank][:, keep]
+            V = Vb[:k].T @ Qt[:rank, :].conj().T[:, keep]
+            sigma = s[:rank][keep]
             # the estimate presumes the adjoint pairing holds; confirm with
             # explicit residuals before trusting it
             worst = 0.0
@@ -244,11 +244,10 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
                 f"singular triplets failed residual verification at full Krylov "
                 f"dimension {n}; the operator's adjoint pairing is likely inconsistent"
             )
-        k_target = min(n, k + block)
 
     raise SvdConvergenceError(
         f"Lanczos bidiagonalization did not reach tol={tol:g} for the leading "
-        f"{rank} singular triplets within {max_rounds} rounds (n={n})"
+        f"{rank} singular triplets within {max_steps} steps (n={n})"
     )
 
 

@@ -1,3 +1,7 @@
+import numpy as np
+import pytest
+
+from lrhankel import SvdConvergenceError, cli
 from lrhankel.cli import main
 from lrhankel.csvio import read_signal_file
 
@@ -85,6 +89,21 @@ class TestSolve:
         assert code == 0
         assert read_summary(out / "summary.csv")["converged"] == "true"
 
+    @pytest.mark.parametrize("error", [
+        SvdConvergenceError("Lanczos stalled"),
+        np.linalg.LinAlgError("SVD did not converge"),
+    ])
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def failing_solve(obs, config):
+            raise error
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        code = run("solve", "--n", 8, "--rank", 1, "--samples", 10, "--out", tmp_path / "o")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: {error}")
+        assert "Traceback" not in err
+
 
 class TestUsage:
     def test_missing_required_flag(self, tmp_path):
@@ -94,8 +113,6 @@ class TestUsage:
         assert run("frobnicate") == 1
 
     def test_help_exits_zero(self, capsys):
-        import pytest
-
         with pytest.raises(SystemExit) as info:
             run("--help")
         assert info.value.code == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrhankel import (
     DenseMaterializationError,
@@ -14,10 +16,10 @@ from lrhankel import (
     hankel_frobenius_sq,
     hankel_matvec,
     hankel_operator,
-    inner_product_lowrank_hankel,
     project_dense_to_hankel,
     project_hankel_blend,
 )
+from lrhankel.hankel import fft_length
 from lrhankel.lowrank import lowrank_dense
 
 from dense_reference import constrained_hankel_lstsq, dense_antidiag_sums, dense_hankel
@@ -298,25 +300,32 @@ class TestNorms:
         expected = np.linalg.norm(dense_hankel(h.values)) ** 2
         assert abs(hankel_frobenius_sq(h) - expected) <= 1e-10 * expected
 
-    def test_inner_product_examples(self):
-        h = HankelVector(2, [1, 1, 1])
-        assert inner_product_lowrank_hankel(LowRankFactors.zero(2), h) == 0
-        ones = LowRankFactors(2, np.full((2, 1), np.sqrt(0.5)), [2.0], np.full((2, 1), np.sqrt(0.5)))
-        assert np.isclose(inner_product_lowrank_hankel(ones, h), 4.0)
 
-    def test_self_inner_product_equals_frobenius_sq(self):
-        rng = np.random.default_rng(8)
-        h = random_hankel(6, rng)
-        dense = dense_hankel(h.values)
-        U, s, Vh = np.linalg.svd(dense)
-        f = LowRankFactors(6, U, s, Vh.conj().T)
-        ip = inner_product_lowrank_hankel(f, h)
-        assert abs(ip - hankel_frobenius_sq(h)) <= 1e-9 * abs(ip)
+# n = 2^k and 2^k + 1 put 2n-1 just below and just above a power of two
+ALIASING_EDGES = sorted({m for k in range(1, 10) for m in (2**k, 2**k + 1)})
 
-    @pytest.mark.parametrize("n,r", [(3, 1), (7, 2), (14, 5)])
-    def test_inner_product_matches_dense_trace(self, n, r):
-        rng = np.random.default_rng(n + r)
-        f = random_factors(n, r, rng)
-        h = random_hankel(n, rng)
-        expected = np.trace(dense_hankel(h.values).conj().T @ lowrank_dense(f))
-        assert abs(inner_product_lowrank_hankel(f, h) - expected) <= 1e-10 * max(abs(expected), 1.0)
+
+def _with_edge_examples(test):
+    for n in ALIASING_EDGES:
+        test = example(n=n, seed=0)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@_with_edge_examples
+@given(n=st.integers(2, 700), seed=st.integers(0, 2**32 - 1))
+def test_fft_products_have_no_aliasing(n, seed):
+    assert fft_length(n) >= 2 * n - 1
+    rng = np.random.default_rng(seed)
+    h = random_hankel(n, rng)
+    k = np.arange(n)
+    dense = h.values[k[:, None] + k[None, :]]
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for fast, want in (
+        (hankel_matvec(h, v), dense @ v),
+        (hankel_adjoint_matvec(h, v), dense.conj().T @ v),
+    ):
+        assert np.linalg.norm(fast - want) <= 1e-10 * np.linalg.norm(want)
+    f = random_factors(n, min(3, n), rng)
+    want = dense_antidiag_sums((f.U * f.sigma) @ f.V.conj().T)
+    assert np.linalg.norm(antidiag_sums_lowrank(f) - want) <= 1e-10 * np.linalg.norm(want)

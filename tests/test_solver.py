@@ -23,7 +23,8 @@ from lrhankel import (
     synthesize,
 )
 from lrhankel.dense_guard import DEFAULT_DENSE_THRESHOLD
-from lrhankel.lowrank import LowRankFactors
+from lrhankel.lowrank import LowRankFactors, truncated_svd
+from lrhankel.solver import blend_operator
 
 from dense_reference import (
     dense_init,
@@ -203,6 +204,26 @@ class TestSteps:
         for _ in range(3):
             state = fista_step(state, obs, cfg)
         assert np.allclose(state.z.values, x, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lanczos_projection_matches_dense_svd_mid_solve(self, seed):
+        # the Ritz check after every Lanczos step may stop early; it must not
+        # stop before a leading triplet of a real iterate has converged
+        inst = make_instance(300, 8, 150, seed)
+        cfg = SolverConfig(rank=8)
+        state = init_state(inst.obs, cfg)
+        for _ in range(5):
+            state = pgd_step(state, inst.obs, cfg)
+        op = blend_operator(state.factors, state.z, cfg.delta1)
+        assert op.n > dense_threshold()
+        f = truncated_svd(op, 8, tol=cfg.svd_tol, seed=cfg.svd_seed)
+        with dense_limit(op.n):
+            U, s, Vh = np.linalg.svd(op.materialize())
+        assert f.rank == 8
+        assert np.all(np.abs(f.sigma - s[:8]) <= 1e-9 * s[:8])
+        for got, want in ((f.U, U[:, :8]), (f.V, Vh[:8].conj().T)):
+            projector = want @ want.conj().T
+            assert np.linalg.norm(got @ got.conj().T - projector) <= 1e-9 * np.linalg.norm(projector)
 
 
 class TestBound:
