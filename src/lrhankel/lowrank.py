@@ -4,8 +4,8 @@ Iterates of the solver are square complex matrices that are never formed
 densely. They are handled either as rank factorizations (U, sigma, V) or
 through matvec callbacks, and the best rank-R approximation is computed by
 Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization. The
-Ritz estimates are checked after every step once the Krylov dimension
-exceeds R, and the returned triplets are confirmed by explicit residuals.
+Ritz estimates are checked after every step up to 4 max(R, 8) steps, then
+every max(R, 8) steps; returned triplets are confirmed by explicit residuals.
 Below the dense threshold a plain dense SVD is used instead, which doubles
 as the built-in oracle for tests.
 """
@@ -144,14 +144,14 @@ def _materialize(op: LinearOperator) -> np.ndarray:
 
 
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int, n: int):
-    """Random unit vector orthogonal to the first k rows of `basis`, or None."""
+    """Random unit vector orthogonal to the first k rows of `basis`, or zero."""
     for _ in range(5):
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = _reorthogonalize(w, basis[:k])
         nrm = np.linalg.norm(w)
         if nrm > 1e-8 * np.sqrt(n):
             return w / nrm
-    return None
+    return np.zeros(n, dtype=np.complex128)
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.ndarray:
@@ -165,27 +165,28 @@ def _reorthogonalize(x: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.nd
 def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> LowRankFactors:
     n = op.n
     rng = np.random.default_rng(seed)
-    # the Ritz estimates are checked after every step from rank+1 steps on
-    # (or n, if smaller); the cap bounds what a projection that never
-    # converges can cost
-    max_steps = min(n, 10 * rank + 50)
-    first_check = min(rank + 1, n)
+    # the cap bounds what a projection that never converges can cost; it is
+    # n for every n <= 1066 at rank 8, where beta = 0 makes the triplets exact
+    block = max(rank, 8)
+    max_steps = min(n, max(2 * rank + 10, 16) + block * (10 * rank + 50))
+    next_check = rank + 1
 
-    # rows past the last step are never read; left uninitialised, their
-    # pages are never touched and cost no resident memory
-    Ub = np.empty((max_steps, n), dtype=np.complex128)
-    Vb = np.empty((max_steps, n), dtype=np.complex128)
+    # basis rows, doubled when full: most projections stop within 4 * block
+    Ub = np.empty((min(max_steps, 4 * block), n), dtype=np.complex128)
+    Vb = np.empty_like(Ub)
     alphas: list[float] = []
     betas: list[float] = []
 
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = _fresh_direction(rng, Vb, 0, n)
     u_prev = np.zeros(n, dtype=np.complex128)
     beta_prev = 0.0
     scale = 0.0
     k = 0
 
     while k < max_steps:
+        if k == Ub.shape[0]:
+            extra = np.empty((min(k, max_steps - k), n), dtype=np.complex128)
+            Ub, Vb = np.concatenate([Ub, extra]), np.concatenate([Vb, extra])
         Vb[k] = v
         u = op.apply(v) - beta_prev * u_prev
         u = _reorthogonalize(u, Ub[:k])
@@ -193,8 +194,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
         scale = max(scale, alpha)
         if alpha <= 1e-14 * max(scale, 1.0):
             alpha = 0.0
-            fresh = _fresh_direction(rng, Ub, k, n)
-            u = fresh if fresh is not None else np.zeros(n, dtype=np.complex128)
+            u = _fresh_direction(rng, Ub, k, n)
         else:
             u = u / alpha
         Ub[k] = u
@@ -207,16 +207,18 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
             beta, w = 0.0, np.zeros(n, dtype=np.complex128)
         elif beta <= 1e-14 * max(scale, 1.0):
             beta = 0.0
-            fresh = _fresh_direction(rng, Vb, k + 1, n)
-            w = fresh if fresh is not None else np.zeros(n, dtype=np.complex128)
+            w = _fresh_direction(rng, Vb, k + 1, n)
         else:
             w = w / beta
         alphas.append(alpha)
         betas.append(beta)
         v, u_prev, beta_prev = w, u, beta
         k += 1
-        if k < first_check:
+        if k < next_check and k < max_steps:
             continue
+        # a Ritz SVD costs O(k^3): check after every step while k is small,
+        # then every `block` steps, and `block` steps after a failed verification
+        next_check = k + (1 if k < 4 * block else block)
 
         # Ritz values of the k-by-k upper bidiagonal projection
         B = np.diag(alphas) + np.diag(betas[: k - 1], 1)
@@ -239,6 +241,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
                 )
             if worst <= 10.0 * floor:
                 return LowRankFactors(n, U, sigma, V)
+            next_check = k + block
         if k >= n:
             raise SvdConvergenceError(
                 f"singular triplets failed residual verification at full Krylov "

@@ -150,14 +150,37 @@ class TestTruncatedSvd:
 
     def test_nonconvergence_is_reported(self):
         # an inconsistent "adjoint" breaks the bidiagonalization invariants,
-        # so residuals cannot reach the tolerance
+        # so residuals cannot reach the tolerance even at full Krylov dimension
         rng = np.random.default_rng(12)
-        A = random_spectrum_matrix(12, rng)
-        B = random_spectrum_matrix(12, rng)
-        broken = LinearOperator(12, lambda v: A @ v, lambda v: B @ v)
+        for n, rank, tol in ((12, 2, 1e-14), (200, 8, 1e-10)):
+            A = random_spectrum_matrix(n, rng)
+            B = random_spectrum_matrix(n, rng)
+            broken = LinearOperator(n, lambda v: A @ v, lambda v: B @ v)
+            with dense_limit(0):
+                with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+                    truncated_svd(broken, rank, tol=tol, seed=0)
+
+    def test_small_gap_at_the_cut_runs_past_short_step_caps(self):
+        # sigma_8 / sigma_9 = 1.001 with the tail crowding just below sigma_9:
+        # the leading triplets need more than 10 * rank + 50 Lanczos steps
+        n, r = 400, 8
+        tail = 3.0 / 1.001 * (1.0 - 0.9 * np.linspace(0.0, 1.0, n - r) ** 3)
+        s = np.concatenate([np.linspace(10.0, 3.0, r), tail])
+        d = s * np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=n))
+        applies = []
+        op = LinearOperator(
+            n,
+            apply=lambda v: applies.append(1) or d * v,
+            apply_adjoint=lambda v: applies.append(1) or np.conj(d) * v,
+        )
         with dense_limit(0):
-            with pytest.raises(SvdConvergenceError):
-                truncated_svd(broken, 2, tol=1e-14, seed=0)
+            f = truncated_svd(op, r, seed=0)
+        assert len(applies) > 2 * (10 * r + 50)
+        assert np.all(np.abs(f.sigma - s[:r]) <= 1e-9 * s[:r])
+        # the leading singular vectors span the first r coordinates, up to
+        # the verified residual over the gap at the cut
+        bound = 10 * 1e-10 * s[0] / (s[r - 1] - s[r])
+        assert np.linalg.norm(f.U[r:]) <= bound and np.linalg.norm(f.V[r:]) <= bound
 
 
 class TestProjectRank:
