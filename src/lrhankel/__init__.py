@@ -19,10 +19,8 @@ from .hankel import (
     ObservationSet,
     antidiag_sums_lowrank,
     antidiag_weights,
-    hankel_adjoint_matvec,
     hankel_dense,
     hankel_frobenius_sq,
-    hankel_matvec,
     hankel_operator,
     project_dense_to_hankel,
     project_hankel_blend,
@@ -33,7 +31,6 @@ from .lowrank import (
     SvdConvergenceError,
     lowrank_matvec,
     project_rank,
-    truncated_svd,
 )
 from .signal import (
     PencilConditionError,
@@ -78,10 +75,8 @@ __all__ = [
     "dense_threshold",
     "extract_frequencies",
     "fista_step",
-    "hankel_adjoint_matvec",
     "hankel_dense",
     "hankel_frobenius_sq",
-    "hankel_matvec",
     "hankel_operator",
     "init_state",
     "lowrank_matvec",
@@ -96,6 +91,5 @@ __all__ = [
     "relative_error",
     "solve",
     "synthesize",
-    "truncated_svd",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Command-line harness: solve, phase, bench, compare, synth.
 
 Flags override config-file keys, which override defaults. Exit codes:
-0 success, 1 usage error, 2 input error, 3 non-convergence under --strict.
+0 success, 1 usage error, 2 input error, 3 non-convergence under --strict,
+4 numerical failure.
 """
 
 import argparse
@@ -210,6 +211,9 @@ def _write_solve_outputs(out_dir, result, n, rank, x_true=None):
 def cmd_solve(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
+    if not 1 <= rank <= n - 1:
+        # frequency extraction needs a rank-deficient n-by-n Hankel matrix
+        raise UsageError(f"--rank must lie in [1, {n - 1}] for --n {n}, got {rank}")
     seed = settings.get("seed")
     out_dir = settings.get("out")
 

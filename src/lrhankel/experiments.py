@@ -39,6 +39,8 @@ class ExperimentGrid:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.rank_values or not self.sample_values:
             raise ValueError("rank_values and sample_values must be nonempty")
+        if any(r > self.n or r < 1 for r in self.rank_values):
+            raise ValueError(f"rank values must lie in [1, {self.n}]")
         if any(m > 2 * self.n - 1 or m < 1 for m in self.sample_values):
             raise ValueError(f"sample counts must lie in [1, {2 * self.n - 1}]")
 

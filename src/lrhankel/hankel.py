@@ -119,16 +119,6 @@ def _correlate(zf: np.ndarray, v: np.ndarray, n: int, length: int) -> np.ndarray
     return np.fft.ifft(zf * vf)[n - 1 : 2 * n - 1]
 
 
-def hankel_matvec(h: HankelVector, v: np.ndarray) -> np.ndarray:
-    """H(z) @ v through FFT convolution, O(n log n) time."""
-    return hankel_operator(h).apply(v)
-
-
-def hankel_adjoint_matvec(h: HankelVector, v: np.ndarray) -> np.ndarray:
-    """H(z)* @ v, through the symmetry in hankel_operator."""
-    return hankel_operator(h).apply_adjoint(v)
-
-
 def hankel_operator(h: HankelVector) -> LinearOperator:
     """Matvec contract for H(z); H is complex symmetric, so H* v = conj(H conj(v)) reuses one transform."""
     n = h.n

@@ -5,9 +5,11 @@ densely. They are handled either as rank factorizations (U, sigma, V) or
 through matvec callbacks, and the best rank-R approximation is computed by
 Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization. The
 Ritz estimates are checked after every step up to 4 max(R, 8) steps, then
-every max(R, 8) steps; returned triplets are confirmed by explicit residuals.
-Below the dense threshold a plain dense SVD is used instead, which doubles
-as the built-in oracle for tests.
+every max(R, 8) steps; once they pass, the triplets are confirmed by
+explicit residuals, and a failed confirmation raises at once. Below the
+dense threshold a plain dense SVD is used instead, which doubles as the
+built-in oracle for tests. Either way one cut applies: singular values
+that are zero or below 1e-12 of the largest are dropped.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from .dense_guard import dense_threshold, ensure_dense_allowed
 
 
 class SvdConvergenceError(RuntimeError):
-    """Truncated SVD failed to converge within the iteration cap."""
+    """The rank projection failed to converge or to verify its triplets."""
 
 
 @dataclass(frozen=True)
@@ -121,21 +123,8 @@ def lowrank_dense(f: LowRankFactors) -> np.ndarray:
     return (f.U * f.sigma) @ f.V.conj().T
 
 
-def adjoint_mismatch(op: LinearOperator, rng: np.random.Generator, trials: int = 3) -> float:
-    """Largest relative defect of <A u, v> == <u, A* v> over random probes."""
-    worst = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        lhs = np.vdot(v, op.apply(u))
-        rhs = np.vdot(op.apply_adjoint(v), u)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
-
-
 def _materialize(op: LinearOperator) -> np.ndarray:
-    ensure_dense_allowed(op.n, "truncated_svd dense path")
+    ensure_dense_allowed(op.n, "project_rank dense path")
     if op.materialize is not None:
         return np.asarray(op.materialize(), dtype=np.complex128)
     eye = np.eye(op.n, dtype=np.complex128)
@@ -162,7 +151,8 @@ def _reorthogonalize(x: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.nd
     return x
 
 
-def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> LowRankFactors:
+def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
+    """Leading `rank` Ritz triplets (U, sigma, V), verified by explicit residuals."""
     n = op.n
     rng = np.random.default_rng(seed)
     # the cap bounds what a projection that never converges can cost; it is
@@ -217,7 +207,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
         if k < next_check and k < max_steps:
             continue
         # a Ritz SVD costs O(k^3): check after every step while k is small,
-        # then every `block` steps, and `block` steps after a failed verification
+        # then every `block` steps
         next_check = k + (1 if k < 4 * block else block)
 
         # Ritz values of the k-by-k upper bidiagonal projection
@@ -226,12 +216,11 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
         floor = tol * max(s[0], 1e-300)
         estimates = betas[k - 1] * np.abs(P[k - 1, :rank])
         if np.all(estimates <= floor):
-            keep = s[:rank] > 0
-            U = Ub[:k].T @ P[:, :rank][:, keep]
-            V = Vb[:k].T @ Qt[:rank, :].conj().T[:, keep]
-            sigma = s[:rank][keep]
+            U = Ub[:k].T @ P[:, :rank]
+            V = Vb[:k].T @ Qt[:rank].conj().T
+            sigma = s[:rank]
             # the estimate presumes the adjoint pairing holds; confirm with
-            # explicit residuals before trusting it
+            # explicit residuals, and raise if they fail: more steps cannot help
             worst = 0.0
             for i in range(sigma.shape[0]):
                 worst = max(
@@ -239,14 +228,13 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
                     float(np.linalg.norm(op.apply(V[:, i]) - sigma[i] * U[:, i])),
                     float(np.linalg.norm(op.apply_adjoint(U[:, i]) - sigma[i] * V[:, i])),
                 )
-            if worst <= 10.0 * floor:
-                return LowRankFactors(n, U, sigma, V)
-            next_check = k + block
-        if k >= n:
-            raise SvdConvergenceError(
-                f"singular triplets failed residual verification at full Krylov "
-                f"dimension {n}; the operator's adjoint pairing is likely inconsistent"
-            )
+            if worst > 10.0 * floor:
+                raise SvdConvergenceError(
+                    f"singular triplets passed the Ritz estimates but failed residual "
+                    f"verification after {k} Lanczos steps (n={n}); the operator's "
+                    f"adjoint pairing is likely inconsistent"
+                )
+            return U, sigma, V
 
     raise SvdConvergenceError(
         f"Lanczos bidiagonalization did not reach tol={tol:g} for the leading "
@@ -254,37 +242,24 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int) -> Low
     )
 
 
-def truncated_svd(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0) -> LowRankFactors:
-    """Leading-`rank` singular triplets of a matrix-free operator.
+def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0) -> LowRankFactors:
+    """Best rank-`rank` approximation of the operator (Eckart-Young truncation).
 
     Deterministic for a fixed seed. When the spectrum is degenerate at the
     cut (sigma_rank equals sigma_rank+1) the retained invariant subspace is
-    an arbitrary but seed-deterministic choice. Exact-zero singular values
-    are dropped, so the returned rank can be lower than requested. Raises
-    SvdConvergenceError instead of returning silently inaccurate triplets.
+    an arbitrary but seed-deterministic choice. Singular values that are zero
+    or below 1e-12 of the largest are dropped, so the result can have rank
+    below the requested bound. Raises SvdConvergenceError instead of
+    returning silently inaccurate triplets.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > op.n:
         raise ValueError(f"rank {rank} exceeds operator dimension {op.n}")
     if op.n <= dense_threshold():
-        A = _materialize(op)
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        keep = s[:rank] > 0
-        return LowRankFactors(op.n, U[:, :rank][:, keep], s[:rank][keep], Vh[:rank].conj().T[:, keep])
-    return _lanczos_bidiag(op, rank, tol, seed)
-
-
-def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0) -> LowRankFactors:
-    """Best rank-`rank` approximation of the operator (Eckart-Young truncation).
-
-    Trailing singular values below 1e-12 of the largest are dropped, so the
-    result can have rank below the requested bound.
-    """
-    f = truncated_svd(op, rank, tol=tol, seed=seed)
-    if f.rank == 0:
-        return f
-    keep = f.sigma >= 1e-12 * f.sigma[0]
-    if np.all(keep):
-        return f
-    return LowRankFactors(f.n, f.U[:, keep], f.sigma[keep], f.V[:, keep])
+        U, s, Vh = np.linalg.svd(_materialize(op), full_matrices=False)
+        U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
+    else:
+        U, s, V = _lanczos_bidiag(op, rank, tol, seed)
+    r = int(np.count_nonzero((s > 0) & (s >= 1e-12 * s[0])))
+    return LowRankFactors(op.n, U[:, :r], s[:r], V[:, :r])

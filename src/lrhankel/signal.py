@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import HankelVector, ObservationSet, hankel_operator
-from .lowrank import truncated_svd
+from .lowrank import project_rank
 
 
 class PencilConditionError(RuntimeError):
@@ -116,7 +116,7 @@ def relative_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     return float(np.linalg.norm(x_hat - x_true) / denom)
 
 
-def extract_frequencies(z_hat, order: int, svd_tol: float = 1e-10, svd_seed: int = 0) -> np.ndarray:
+def extract_frequencies(z_hat, order: int) -> np.ndarray:
     """Recover `order` frequencies from a (near) rank-`order` Hankel parameter vector.
 
     Takes the leading left singular subspace of H(z) and solves the
@@ -126,11 +126,10 @@ def extract_frequencies(z_hat, order: int, svd_tol: float = 1e-10, svd_seed: int
     h = z_hat if isinstance(z_hat, HankelVector) else HankelVector.from_signal(z_hat)
     if not 1 <= order <= h.n - 1:
         raise ValueError(f"order must lie in [1, {h.n - 1}], got {order}")
-    f = truncated_svd(hankel_operator(h), order, tol=svd_tol, seed=svd_seed)
-    if f.rank < order or f.sigma[order - 1] <= 1e-12 * f.sigma[0]:
+    f = project_rank(hankel_operator(h), order)
+    if f.rank < order:
         raise PencilConditionError(
-            f"Hankel matrix has numerical rank below the requested order {order}; "
-            f"the trailing retained singular value is negligible"
+            f"Hankel matrix has numerical rank {f.rank}, below the requested order {order}"
         )
     top, bottom = f.U[:-1], f.U[1:]
     shift, _, rank, sv = np.linalg.lstsq(top, bottom, rcond=None)

@@ -58,7 +58,6 @@ class SolverConfig:
     max_iter: int = 1000
     accelerated: bool = False
     bound: float | None = None
-    svd_tol: float = 1e-10
     svd_seed: int = 0
 
     def __post_init__(self):
@@ -152,19 +151,14 @@ def init_state(obs: ObservationSet, cfg: SolverConfig) -> IterateState:
     z0 = np.zeros(2 * obs.n - 1, dtype=np.complex128)
     z0[obs.indices] = obs.values
     h0 = HankelVector(obs.n, z0)
-    f0 = project_rank(hankel_operator(h0), cfg.rank, tol=cfg.svd_tol, seed=cfg.svd_seed)
+    f0 = project_rank(hankel_operator(h0), cfg.rank, seed=cfg.svd_seed)
     sums = hankel.antidiag_sums_lowrank(f0)
     return IterateState(factors=f0, sums=sums, z=h0, z_tilde=h0, momentum=1.0, t=0)
 
 
 def _half_steps(f: LowRankFactors, centre: HankelVector, obs: ObservationSet, cfg: SolverConfig):
     """New factors toward H(centre), their anti-diagonal sums, and the data step from centre."""
-    f1 = project_rank(
-        blend_operator(f, centre, cfg.delta1),
-        cfg.rank,
-        tol=cfg.svd_tol,
-        seed=cfg.svd_seed,
-    )
+    f1 = project_rank(blend_operator(f, centre, cfg.delta1), cfg.rank, seed=cfg.svd_seed)
     sums = hankel.antidiag_sums_lowrank(f1)
     z1 = project_hankel_blend(centre, sums, cfg.delta2, obs)
     if cfg.bound is not None:

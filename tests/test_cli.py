@@ -54,6 +54,13 @@ class TestSolve:
         assert code == 2
         assert not out.exists()
 
+    def test_rank_outside_bounds_no_partial_outputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for rank in (0, 8, 9):
+            assert run("solve", "--n", 8, "--rank", rank, "--samples", 5, "--out", out) == 1
+            assert capsys.readouterr().err.startswith("usage error: --rank must lie in [1, 7]")
+            assert not out.exists()
+
     def test_malformed_observation_file(self, tmp_path, capsys):
         bad = tmp_path / "obs.csv"
         # n=64 would take the dense rank projection, n=300 the Lanczos one

@@ -50,6 +50,9 @@ class TestGrid:
             small_grid(sample_values=(40,))
         with pytest.raises(ValueError, match="nonempty"):
             small_grid(rank_values=())
+        for ranks in ((0,), (1, 17)):
+            with pytest.raises(ValueError, match="rank values"):
+                small_grid(rank_values=ranks)
 
     def test_phase_cell_rate(self):
         assert PhaseCell(1, 10, 20, 13).success_rate == 0.65

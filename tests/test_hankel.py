@@ -11,10 +11,8 @@ from lrhankel import (
     antidiag_sums_lowrank,
     antidiag_weights,
     dense_limit,
-    hankel_adjoint_matvec,
     hankel_dense,
     hankel_frobenius_sq,
-    hankel_matvec,
     hankel_operator,
     project_dense_to_hankel,
     project_hankel_blend,
@@ -120,20 +118,20 @@ class TestDense:
 
 class TestMatvec:
     def test_frozen_examples(self):
-        h = HankelVector(2, [1, 2, 3])
-        assert np.allclose(hankel_matvec(h, [1, 0]), [1, 2])
-        assert np.allclose(hankel_matvec(h, [0, 1]), [2, 3])
-        assert np.allclose(hankel_adjoint_matvec(HankelVector(2, [1j, 0, 0]), [1, 0]), [-1j, 0])
+        op = hankel_operator(HankelVector(2, [1, 2, 3]))
+        assert np.allclose(op.apply([1, 0]), [1, 2])
+        assert np.allclose(op.apply([0, 1]), [2, 3])
+        assert np.allclose(hankel_operator(HankelVector(2, [1j, 0, 0])).apply_adjoint([1, 0]), [-1j, 0])
 
     def test_zero_vector(self):
         h = random_hankel(6, np.random.default_rng(0))
-        assert not hankel_matvec(h, np.zeros(6)).any()
+        assert not hankel_operator(h).apply(np.zeros(6)).any()
 
     def test_real_adjoint_equals_matvec(self):
         rng = np.random.default_rng(1)
-        h = HankelVector(5, rng.standard_normal(9))
+        op = hankel_operator(HankelVector(5, rng.standard_normal(9)))
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.allclose(hankel_adjoint_matvec(h, v), hankel_matvec(h, v), rtol=1e-12)
+        assert np.allclose(op.apply_adjoint(v), op.apply(v), rtol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_dense_oracle(self, n):
@@ -141,33 +139,25 @@ class TestMatvec:
         for _ in range(5):
             h = random_hankel(n, rng)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            dense = hankel_dense(h)
+            dense, op = hankel_dense(h), hankel_operator(h)
             scale = np.linalg.norm(dense @ v)
-            assert np.linalg.norm(hankel_matvec(h, v) - dense @ v) <= 1e-10 * scale
+            assert np.linalg.norm(op.apply(v) - dense @ v) <= 1e-10 * scale
             scale = np.linalg.norm(dense.conj().T @ v)
-            assert np.linalg.norm(hankel_adjoint_matvec(h, v) - dense.conj().T @ v) <= 1e-10 * scale
+            assert np.linalg.norm(op.apply_adjoint(v) - dense.conj().T @ v) <= 1e-10 * scale
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        h = random_hankel(8, rng)
+        op = hankel_operator(random_hankel(8, rng))
         v, w = (rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2))
         a, b = 1.7 - 0.3j, -0.4 + 2.1j
-        lhs = hankel_matvec(h, a * v + b * w)
-        rhs = a * hankel_matvec(h, v) + b * hankel_matvec(h, w)
+        lhs = op.apply(a * v + b * w)
+        rhs = a * op.apply(v) + b * op.apply(w)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_dimension_mismatch(self):
         h = HankelVector(3, np.ones(5))
         with pytest.raises(ValueError, match="shape"):
-            hankel_matvec(h, np.ones(4))
-
-    def test_operator_matches_free_functions(self):
-        rng = np.random.default_rng(3)
-        h = random_hankel(7, rng)
-        op = hankel_operator(h)
-        v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        assert np.array_equal(op.apply(v), hankel_matvec(h, v))
-        assert np.array_equal(op.apply_adjoint(v), hankel_adjoint_matvec(h, v))
+            hankel_operator(h).apply(np.ones(4))
 
 
 class TestAntidiagSums:
@@ -321,9 +311,10 @@ def test_fft_products_have_no_aliasing(n, seed):
     k = np.arange(n)
     dense = h.values[k[:, None] + k[None, :]]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    op = hankel_operator(h)
     for fast, want in (
-        (hankel_matvec(h, v), dense @ v),
-        (hankel_adjoint_matvec(h, v), dense.conj().T @ v),
+        (op.apply(v), dense @ v),
+        (op.apply_adjoint(v), dense.conj().T @ v),
     ):
         assert np.linalg.norm(fast - want) <= 1e-10 * np.linalg.norm(want)
     f = random_factors(n, min(3, n), rng)

@@ -9,9 +9,8 @@ from lrhankel import (
     dense_limit,
     lowrank_matvec,
     project_rank,
-    truncated_svd,
 )
-from lrhankel.lowrank import adjoint_mismatch, lowrank_adjoint_matvec, lowrank_dense
+from lrhankel.lowrank import lowrank_adjoint_matvec, lowrank_dense
 
 
 def dense_operator(A):
@@ -79,7 +78,7 @@ class TestFactors:
 class TestTruncatedSvd:
     def test_diagonal_example(self):
         op = dense_operator(np.diag([3.0, 2.0, 1.0]))
-        f = truncated_svd(op, 2)
+        f = project_rank(op, 2)
         assert np.allclose(f.sigma, [3, 2])
         # singular vectors are coordinate axes up to unit phase
         approx = lowrank_dense(f)
@@ -87,16 +86,16 @@ class TestTruncatedSvd:
 
     def test_zero_operator(self):
         op = dense_operator(np.zeros((5, 5)))
-        assert truncated_svd(op, 3).rank == 0
+        assert project_rank(op, 3).rank == 0
         with dense_limit(0):
-            assert truncated_svd(op, 3).rank == 0
+            assert project_rank(op, 3).rank == 0
 
     def test_rejects_bad_rank(self):
         op = dense_operator(np.eye(3))
         with pytest.raises(ValueError):
-            truncated_svd(op, 0)
+            project_rank(op, 0)
         with pytest.raises(ValueError):
-            truncated_svd(op, 4)
+            project_rank(op, 4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dense_svd_oracle(self, seed):
@@ -107,7 +106,7 @@ class TestTruncatedSvd:
         U, s, Vh = np.linalg.svd(A)
         oracle = (U[:, :r] * s[:r]) @ Vh[:r]
         with dense_limit(0):  # force the iterative path
-            f = truncated_svd(dense_operator(A), r, tol=1e-12, seed=seed)
+            f = project_rank(dense_operator(A), r, tol=1e-12, seed=seed)
         assert np.allclose(f.sigma, s[:r], rtol=1e-8)
         assert np.linalg.norm(lowrank_dense(f) - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -118,7 +117,7 @@ class TestTruncatedSvd:
         op = dense_operator(A)
         tol = 1e-10
         with dense_limit(0):
-            f = truncated_svd(op, 3, tol=tol, seed=seed)
+            f = project_rank(op, 3, tol=tol, seed=seed)
         for i in range(f.rank):
             residual = np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i])
             assert residual <= 10 * tol * f.sigma[0]
@@ -127,8 +126,8 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(9)
         A = random_spectrum_matrix(20, rng)
         with dense_limit(0):
-            f1 = truncated_svd(dense_operator(A), 3, seed=5)
-            f2 = truncated_svd(dense_operator(A), 3, seed=5)
+            f1 = project_rank(dense_operator(A), 3, seed=5)
+            f2 = project_rank(dense_operator(A), 3, seed=5)
         assert np.array_equal(f1.U, f2.U)
         assert np.array_equal(f1.sigma, f2.sigma)
         assert np.array_equal(f1.V, f2.V)
@@ -137,16 +136,8 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(10)
         A = random_spectrum_matrix(30, rng)
         with dense_limit(0):
-            f = truncated_svd(dense_operator(A), 4, seed=2)
+            f = project_rank(dense_operator(A), 4, seed=2)
         assert f.orthonormality_defect() <= 1e-10
-
-    def test_adjoint_mismatch_helper(self):
-        rng = np.random.default_rng(11)
-        A = random_spectrum_matrix(7, rng)
-        good = dense_operator(A)
-        assert adjoint_mismatch(good, np.random.default_rng(0)) <= 1e-12
-        bad = LinearOperator(7, lambda v: A @ v, lambda v: A.T @ v)
-        assert adjoint_mismatch(bad, np.random.default_rng(0)) > 1e-6
 
     def test_nonconvergence_is_reported(self):
         # an inconsistent "adjoint" breaks the bidiagonalization invariants,
@@ -158,7 +149,23 @@ class TestTruncatedSvd:
             broken = LinearOperator(n, lambda v: A @ v, lambda v: B @ v)
             with dense_limit(0):
                 with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
-                    truncated_svd(broken, rank, tol=tol, seed=0)
+                    project_rank(broken, rank, tol=tol, seed=0)
+
+    def test_inconsistent_adjoint_fails_fast(self):
+        # adjoint A.T instead of A*: the first residual verification fails,
+        # and the projection raises then instead of stepping on to k = n
+        n, rank = 300, 8
+        A = random_spectrum_matrix(n, np.random.default_rng(16))
+        applies = []
+        broken = LinearOperator(
+            n,
+            apply=lambda v: applies.append(1) or A @ v,
+            apply_adjoint=lambda v: applies.append(1) or A.T @ v,
+        )
+        with dense_limit(0):
+            with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+                project_rank(broken, rank, seed=0)
+        assert len(applies) <= 200
 
     def test_small_gap_at_the_cut_runs_past_short_step_caps(self):
         # sigma_8 / sigma_9 = 1.001 with the tail crowding just below sigma_9:
@@ -174,7 +181,7 @@ class TestTruncatedSvd:
             apply_adjoint=lambda v: applies.append(1) or np.conj(d) * v,
         )
         with dense_limit(0):
-            f = truncated_svd(op, r, seed=0)
+            f = project_rank(op, r, seed=0)
         assert len(applies) > 2 * (10 * r + 50)
         assert np.all(np.abs(f.sigma - s[:r]) <= 1e-9 * s[:r])
         # the leading singular vectors span the first r coordinates, up to

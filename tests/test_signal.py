@@ -11,8 +11,8 @@ from lrhankel import (
     random_model,
     random_observations,
     relative_error,
+    project_rank,
     synthesize,
-    truncated_svd,
 )
 from lrhankel.signal import circular_distance, match_frequencies
 
@@ -166,7 +166,7 @@ class TestExtractFrequencies:
         freqs = [0.05, 0.37, 0.81]
         model = SpectralModel(freqs, np.exp(2j * np.pi * rng.uniform(0, 1, 3)))
         h = HankelVector.from_signal(synthesize(model, 63))
-        f = truncated_svd(hankel_operator(h), 4)
+        f = project_rank(hankel_operator(h), 4)
         assert f.rank >= 3
         sigma = np.zeros(4)
         sigma[: f.rank] = f.sigma

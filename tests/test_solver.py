@@ -23,7 +23,7 @@ from lrhankel import (
     synthesize,
 )
 from lrhankel.dense_guard import DEFAULT_DENSE_THRESHOLD
-from lrhankel.lowrank import LowRankFactors, truncated_svd
+from lrhankel.lowrank import LowRankFactors, project_rank
 from lrhankel.solver import blend_operator
 
 from dense_reference import (
@@ -216,7 +216,7 @@ class TestSteps:
             state = pgd_step(state, inst.obs, cfg)
         op = blend_operator(state.factors, state.z, cfg.delta1)
         assert op.n > dense_threshold()
-        f = truncated_svd(op, 8, tol=cfg.svd_tol, seed=cfg.svd_seed)
+        f = project_rank(op, 8, seed=cfg.svd_seed)
         with dense_limit(op.n):
             U, s, Vh = np.linalg.svd(op.materialize())
         assert f.rank == 8
