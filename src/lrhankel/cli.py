@@ -175,6 +175,12 @@ def _solver_config(settings: Settings, rank: int, svd_seed: int) -> SolverConfig
     return SolverConfig(rank=rank, svd_seed=svd_seed, **{key: settings.get(key) for key in _SOLVER_KEYS})
 
 
+def _check_rank(rank: int, top: int, flag: str, where: str) -> None:
+    """Reject a rank outside [1, top] before anything is synthesized or written."""
+    if not 1 <= rank <= top:
+        raise UsageError(f"{flag} must lie in [1, {top}] for {where}, got {rank}")
+
+
 def _history_rows(result: RecoveryResult):
     rows = [["0", fmt_float(result.objective_history[0]), ""]]
     for i, rel in enumerate(result.relchange_history, start=1):
@@ -211,9 +217,8 @@ def _write_solve_outputs(out_dir, result, n, rank, x_true=None):
 def cmd_solve(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
-    if not 1 <= rank <= n - 1:
-        # frequency extraction needs a rank-deficient n-by-n Hankel matrix
-        raise UsageError(f"--rank must lie in [1, {n - 1}] for --n {n}, got {rank}")
+    # frequency extraction needs a rank-deficient n-by-n Hankel matrix
+    _check_rank(rank, n - 1, "--rank", f"--n {n}")
     seed = settings.get("seed")
     out_dir = settings.get("out")
 
@@ -243,6 +248,8 @@ def cmd_solve(settings: Settings) -> int:
 def cmd_synth(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
+    # the bound of solve, so that every written instance can be solved
+    _check_rank(rank, n - 1, "--rank", f"--n {n}")
     samples = settings.require("samples")
     inst = make_instance(n, rank, samples, settings.get("seed"))
     out_dir = settings.get("out")
@@ -291,8 +298,11 @@ def cmd_phase(settings: Settings) -> int:
 
 
 def cmd_bench(settings: Settings) -> int:
+    cases = settings.get("case")
+    for n, rank, samples in cases:
+        _check_rank(rank, n, "--case rank", f"--case {n},{rank},{samples}")
     rows = run_bench(
-        settings.get("case"),
+        cases,
         _solver_config(settings, rank=1, svd_seed=0),
         master_seed=settings.get("seed"),
         repeats=settings.get("repeats"),
@@ -320,6 +330,7 @@ def cmd_bench(settings: Settings) -> int:
 def cmd_compare(settings: Settings) -> int:
     n = settings.require("n")
     rank = settings.require("rank")
+    _check_rank(rank, n, "--rank", f"--n {n}")
     samples = settings.require("samples")
     result = run_compare(n, rank, samples, settings.get("seed"),
                          _solver_config(settings, rank, svd_seed=0))

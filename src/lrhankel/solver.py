@@ -34,9 +34,7 @@ from .hankel import (
 from .lowrank import (
     LinearOperator,
     LowRankFactors,
-    lowrank_adjoint_matvec,
     lowrank_dense,
-    lowrank_matvec,
     project_rank,
 )
 
@@ -109,12 +107,14 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
         raise ValueError(f"dimension mismatch: factors n={f.n}, h n={h.n}")
     hop = hankel_operator(h)
     c = 1.0 - delta1
+    # conjugated once per operator, not once per apply
+    Uh, Vh = f.U.conj().T, f.V.conj().T
 
     def apply(v):
-        return c * lowrank_matvec(f, v) + delta1 * hop.apply(v)
+        return c * (f.U @ (f.sigma * (Vh @ v))) + delta1 * hop.apply(v)
 
     def apply_adjoint(v):
-        return c * lowrank_adjoint_matvec(f, v) + delta1 * hop.apply_adjoint(v)
+        return c * (f.V @ (f.sigma * (Uh @ v))) + delta1 * hop.apply_adjoint(v)
 
     return LinearOperator(
         n=h.n,

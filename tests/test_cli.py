@@ -130,6 +130,25 @@ class TestUsage:
                    "--out", tmp_path) == 1
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("synth", "--n", 8, "--rank", 8, "--samples", 5), "--rank must lie in [1, 7]"),
+        (("synth", "--n", 8, "--rank", 9, "--samples", 5), "--rank must lie in [1, 7]"),
+        (("compare", "--n", 8, "--rank", 9, "--samples", 5), "--rank must lie in [1, 8]"),
+        (("bench", "--case", "8,9,5", "--repeats", 1), "--case rank must lie in [1, 8]"),
+        (("bench", "--case", "16,1,10", "--case", "8,0,5"), "--case rank must lie in [1, 8]"),
+    ], ids=["synth-rank-n", "synth-rank-n+1", "compare", "bench", "bench-second-case"])
+    def test_rank_outside_bounds_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized before the rank check")
+
+        for name in ("make_instance", "run_bench", "run_compare"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_config_supplies_missing_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -167,6 +167,43 @@ class TestTruncatedSvd:
                 project_rank(broken, rank, seed=0)
         assert len(applies) <= 200
 
+    @pytest.mark.parametrize("eps, consistent", [
+        (0.0, True), (1e-12, True), (1e-8, True), (1e-6, False), (1e-3, False),
+    ])
+    def test_verification_from_stored_products_keeps_its_strength(self, eps, consistent):
+        # the adjoint is A* plus a rank-one error of relative size eps: small
+        # errors must still yield triplets whose explicitly recomputed
+        # residuals pass, and large ones must still be caught
+        n, rank, tol = 300, 8, 1e-10
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        scale = eps * np.linalg.norm(A, 2) / (np.linalg.norm(a) * np.linalg.norm(b))
+        Ah = A.conj().T + scale * np.outer(a, b.conj())
+        calls = {"apply": 0, "apply_adjoint": 0}
+
+        def counted(name, M):
+            def fn(v):
+                calls[name] += 1
+                return M @ v
+            return fn
+
+        op = LinearOperator(n, counted("apply", A), counted("apply_adjoint", Ah))
+        with dense_limit(0):
+            if not consistent:
+                with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+                    project_rank(op, rank, tol=tol, seed=0)
+                return
+            f = project_rank(op, rank, tol=tol, seed=0)
+        # one apply and one adjoint apply per Lanczos step, none to verify
+        assert calls["apply"] == calls["apply_adjoint"]
+        assert sum(calls.values()) == 176
+        assert f.rank == rank
+        for i in range(rank):
+            assert np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i]) <= 10 * tol * f.sigma[0]
+            assert np.linalg.norm(Ah @ f.U[:, i] - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
+
     def test_small_gap_at_the_cut_runs_past_short_step_caps(self):
         # sigma_8 / sigma_9 = 1.001 with the tail crowding just below sigma_9:
         # the leading triplets need more than 10 * rank + 50 Lanczos steps

@@ -23,7 +23,7 @@ from lrhankel import (
     synthesize,
 )
 from lrhankel.dense_guard import DEFAULT_DENSE_THRESHOLD
-from lrhankel.lowrank import LowRankFactors, project_rank
+from lrhankel.lowrank import LowRankFactors, lowrank_dense, project_rank
 from lrhankel.solver import blend_operator
 
 from dense_reference import (
@@ -163,6 +163,21 @@ class TestSteps:
             assert np.array_equal(state.z_tilde.values[inst.obs.indices], inst.obs.values)
             assert state.factors.rank <= 2
 
+    @pytest.mark.parametrize("bound", [None, 1.5])
+    @pytest.mark.parametrize("step", [pgd_step, fista_step])
+    def test_feasibility_bit_exact_on_the_lanczos_path(self, step, bound):
+        inst = make_instance(40, 3, 30, seed=5)
+        cfg = SolverConfig(rank=3, accelerated=step is fista_step, bound=bound, svd_seed=5)
+        with dense_limit(0):
+            state = init_state(inst.obs, cfg)
+            for _ in range(10):
+                state = step(state, inst.obs, cfg)
+                assert np.array_equal(state.z.values[inst.obs.indices], inst.obs.values)
+                assert np.array_equal(state.z_tilde.values[inst.obs.indices], inst.obs.values)
+                assert state.factors.rank <= 3
+        if bound is not None:
+            assert np.abs(np.delete(state.z.values, inst.obs.indices)).max() <= bound * (1 + 1e-15)
+
     def test_momentum_recurrence_values(self):
         inst = make_instance(8, 1, 6, seed=1)
         cfg = SolverConfig(rank=1, accelerated=True)
@@ -224,6 +239,26 @@ class TestSteps:
         for got, want in ((f.U, U[:, :8]), (f.V, Vh[:8].conj().T)):
             projector = want @ want.conj().T
             assert np.linalg.norm(got @ got.conj().T - projector) <= 1e-9 * np.linalg.norm(projector)
+
+
+class TestBlendOperator:
+    @pytest.mark.parametrize("n, rank", [(2, 0), (2, 1), (7, 0), (7, 3), (64, 0), (64, 5)])
+    def test_matches_dense_blend(self, n, rank):
+        rng = np.random.default_rng(n + rank)
+        h = HankelVector(n, rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1))
+        f = LowRankFactors.zero(n)
+        if rank:
+            U, s, Vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            f = LowRankFactors(n, U[:, :rank], s[:rank], Vh[:rank].conj().T)
+        delta1 = 0.3
+        op = blend_operator(f, h, delta1)
+        dense = (1 - delta1) * lowrank_dense(f) + delta1 * hankel_dense(h)
+        assert np.allclose(op.materialize(), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+        for _ in range(3):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            scale = 1e-13 * np.linalg.norm(dense) * np.linalg.norm(v)
+            assert np.linalg.norm(op.apply(v) - dense @ v) <= scale
+            assert np.linalg.norm(op.apply_adjoint(v) - dense.conj().T @ v) <= scale
 
 
 class TestBound:
