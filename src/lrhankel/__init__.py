@@ -22,14 +22,12 @@ from .hankel import (
     hankel_dense,
     hankel_frobenius_sq,
     hankel_operator,
-    project_dense_to_hankel,
     project_hankel_blend,
 )
 from .lowrank import (
     LinearOperator,
     LowRankFactors,
     SvdConvergenceError,
-    lowrank_matvec,
     project_rank,
 )
 from .signal import (
@@ -79,11 +77,9 @@ __all__ = [
     "hankel_frobenius_sq",
     "hankel_operator",
     "init_state",
-    "lowrank_matvec",
     "make_instance",
     "objective",
     "pgd_step",
-    "project_dense_to_hankel",
     "project_hankel_blend",
     "project_rank",
     "random_model",

@@ -92,25 +92,35 @@ class Setting(NamedTuple):
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 _SOLVER_KEYS = ("delta1", "delta2", "tol", "max_iter", "accelerated", "bound")
 
+# the subcommands that read a group of settings; a flag exists only where read
+_SOLVERS = ("solve", "phase", "bench", "compare")
+_INSTANCE = ("solve", "synth", "compare")
+
 _SETTINGS = {
     s.key: s
     for s in (
-        Setting("n", int, None, "Hankel dimension n; the signal has length 2n-1"),
-        Setting("rank", int, None, "number of sinusoids to fit"),
-        Setting("samples", int, None, "number of observed entries"),
+        Setting("n", int, None, "Hankel dimension n; the signal has length 2n-1",
+                ("solve", "synth", "phase", "compare")),
+        Setting("rank", int, None, "number of sinusoids to fit", _INSTANCE),
+        Setting("samples", int, None, "number of observed entries", _INSTANCE),
         Setting("seed", int, 0, "master seed (default {default})"),
-        Setting("delta1", float, _SOLVER_DEFAULTS["delta1"], "rank-step size in (0,1), default {default}"),
-        Setting("delta2", float, _SOLVER_DEFAULTS["delta2"], "data-step size in (0,1), default {default}"),
-        Setting("tol", float, _SOLVER_DEFAULTS["tol"], "relative-change stopping tolerance, default {default}"),
-        Setting("max_iter", int, _SOLVER_DEFAULTS["max_iter"], "iteration cap, default {default}"),
+        Setting("delta1", float, _SOLVER_DEFAULTS["delta1"], "rank-step size in (0,1), default {default}",
+                _SOLVERS),
+        Setting("delta2", float, _SOLVER_DEFAULTS["delta2"], "data-step size in (0,1), default {default}",
+                _SOLVERS),
+        Setting("tol", float, _SOLVER_DEFAULTS["tol"], "relative-change stopping tolerance, default {default}",
+                _SOLVERS),
+        Setting("max_iter", int, _SOLVER_DEFAULTS["max_iter"], "iteration cap, default {default}", _SOLVERS),
+        # compare runs both variants, so it has no use for the flag
         Setting("accelerated", _parse_bool, _SOLVER_DEFAULTS["accelerated"],
-                "use the momentum-accelerated iteration", action="store_true"),
-        Setting("bound", float, _SOLVER_DEFAULTS["bound"], "magnitude clamp for unobserved entries"),
-        Setting("threads", int, None, "worker processes for Monte Carlo trials"),
+                "use the momentum-accelerated iteration", ("solve", "phase", "bench"), action="store_true"),
+        Setting("bound", float, _SOLVER_DEFAULTS["bound"], "magnitude clamp for unobserved entries", _SOLVERS),
+        Setting("threads", int, None, "worker processes for Monte Carlo trials (default: every CPU)",
+                ("phase",)),
         Setting("out", str, ".", "output directory (default current)"),
         Setting("config", str, None, "flat key=value config file", config=False),
         Setting("strict", _parse_bool, False, "exit with code 3 when the solver does not converge",
-                config=False, action="store_true"),
+                ("solve", "compare"), config=False, action="store_true"),
         Setting("obs_file", str, None, "observed samples CSV (rows t,re,im)", ("solve",), config=False),
         Setting("signal_file", str, None, "ground-truth signal CSV, enables error reporting",
                 ("solve",), config=False),
@@ -135,7 +145,8 @@ def build_parser() -> Parser:
     parser = Parser(prog="lrhankel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, summary) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        # no prefix matching: phase would read --rank as --rank-values
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         for s in _SETTINGS.values():
             if command not in s.commands:
                 continue
@@ -276,7 +287,11 @@ def cmd_phase(settings: Settings) -> int:
         master_seed=settings.get("seed"),
         solver=_solver_config(settings, rank=1, svd_seed=0),
     )
-    workers = settings.get("threads") or os.cpu_count() or 1
+    workers = settings.get("threads")
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise UsageError(f"--threads must be at least 1, got {workers}")
     cells = run_phase(grid, workers=workers)
     out_dir = settings.get("out")
     os.makedirs(out_dir, exist_ok=True)

@@ -5,12 +5,11 @@ anti-diagonal values, [H]_{k,l} = z[k+l]. All hot-path operations here work
 on that parameter vector: matvecs run through FFT convolution, anti-diagonal
 reductions of rank factorizations run through batched FFT convolutions, and
 the data-consistent projection is the anti-diagonal mean with observed
-entries overwritten exactly. Dense matrices appear only in oracle helpers.
+entries overwritten exactly. Only `hankel_dense` forms a dense matrix.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -82,10 +81,6 @@ class ObservationSet:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def num_observed(self) -> int:
-        return self.indices.shape[0]
-
 
 @lru_cache(maxsize=None)
 def antidiag_weights(n: int) -> np.ndarray:
@@ -105,7 +100,7 @@ def fft_length(n: int) -> int:
 
 
 def hankel_dense(h: HankelVector) -> np.ndarray:
-    """Dense n-by-n Hankel matrix. Oracle and debugging only, never hot paths."""
+    """Dense n-by-n Hankel matrix, for the dense SVD path below the threshold."""
     ensure_dense_allowed(h.n, "hankel_dense")
     k = np.arange(h.n)
     return h.values[k[:, None] + k[None, :]]
@@ -149,34 +144,6 @@ def antidiag_sums_lowrank(f: LowRankFactors) -> np.ndarray:
     uf = np.fft.fft(f.U * f.sigma, length, axis=0)
     vf = np.fft.fft(np.conj(f.V), length, axis=0)
     return np.fft.ifft((uf * vf).sum(axis=1))[: 2 * n - 1]
-
-
-def antidiag_sums_dense(X: np.ndarray) -> np.ndarray:
-    """Anti-diagonal sums of a dense square matrix (oracle helper)."""
-    X = np.asarray(X)
-    n = X.shape[0]
-    if X.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {X.shape}")
-    flipped = np.flipud(X)
-    return np.array(
-        [flipped.diagonal(j - n + 1).sum() for j in range(2 * n - 1)],
-        dtype=np.complex128,
-    )
-
-
-def project_dense_to_hankel(X: np.ndarray, obs: Optional[ObservationSet] = None) -> HankelVector:
-    """Closest data-consistent Hankel matrix to a dense X (oracle entry point).
-
-    Unconstrained coordinates take the anti-diagonal mean; observed
-    coordinates are copied from the observations exactly.
-    """
-    n = X.shape[0]
-    z = antidiag_sums_dense(X) / antidiag_weights(n)
-    if obs is not None:
-        if obs.n != n:
-            raise ValueError(f"observations are for n={obs.n}, matrix has n={n}")
-        z[obs.indices] = obs.values
-    return HankelVector(n, z)
 
 
 def project_hankel_blend(

@@ -9,8 +9,8 @@ every max(R, 8) steps; once they pass, the triplets are confirmed by
 their residuals, and a failed confirmation raises at once. The recurrence
 keeps every product A v_k and A* u_k it makes, so the residuals of the
 Ritz vectors V = [v_k] Q and U = [u_k] P come from those rows times Q and
-P, without applying the operator again. Below the dense threshold a plain
-dense SVD is used instead, which doubles as the built-in oracle for tests.
+P, without applying the operator again. At or below the dense threshold,
+an operator that can materialize itself takes a plain dense SVD instead.
 Either way one cut applies: singular values that are zero or below 1e-12
 of the largest are dropped.
 """
@@ -75,22 +75,14 @@ class LowRankFactors:
     def storage_nbytes(self) -> int:
         return self.U.nbytes + self.sigma.nbytes + self.V.nbytes
 
-    def orthonormality_defect(self) -> float:
-        """Max deviation of U*U and V*V from the identity (test helper)."""
-        if self.rank == 0:
-            return 0.0
-        eye = np.eye(self.rank)
-        du = np.abs(self.U.conj().T @ self.U - eye).max()
-        dv = np.abs(self.V.conj().T @ self.V - eye).max()
-        return float(max(du, dv))
-
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Square operator given by matvec callbacks, never by a dense matrix.
+    """Square operator given by matvec callbacks.
 
-    `materialize`, when provided, is a shortcut used only below the dense
-    threshold; correctness never depends on it.
+    `materialize`, when provided, returns the dense matrix; project_rank
+    uses it at or below the dense threshold and otherwise runs Lanczos on
+    the callbacks alone, so correctness never depends on it.
     """
 
     n: int
@@ -99,40 +91,12 @@ class LinearOperator:
     materialize: Optional[Callable[[], np.ndarray]] = None
 
 
-def lowrank_matvec(f: LowRankFactors, v: np.ndarray) -> np.ndarray:
-    """(U diag(sigma) V*) @ v, evaluated right to left in O(n r)."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (f.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({f.n},)")
-    if f.rank == 0:
-        return np.zeros(f.n, dtype=np.complex128)
-    return f.U @ (f.sigma * (f.V.conj().T @ v))
-
-
-def lowrank_adjoint_matvec(f: LowRankFactors, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (f.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({f.n},)")
-    if f.rank == 0:
-        return np.zeros(f.n, dtype=np.complex128)
-    return f.V @ (f.sigma * (f.U.conj().T @ v))
-
-
 def lowrank_dense(f: LowRankFactors) -> np.ndarray:
-    """Dense n-by-n matrix of the factorization. Oracle and small-n use only."""
+    """Dense n-by-n matrix of the factorization, for the dense SVD path and oracles."""
     ensure_dense_allowed(f.n, "lowrank_dense")
     if f.rank == 0:
         return np.zeros((f.n, f.n), dtype=np.complex128)
     return (f.U * f.sigma) @ f.V.conj().T
-
-
-def _materialize(op: LinearOperator) -> np.ndarray:
-    ensure_dense_allowed(op.n, "project_rank dense path")
-    if op.materialize is not None:
-        return np.asarray(op.materialize(), dtype=np.complex128)
-    eye = np.eye(op.n, dtype=np.complex128)
-    cols = [op.apply(eye[:, j]) for j in range(op.n)]
-    return np.stack(cols, axis=1)
 
 
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int, n: int):
@@ -259,8 +223,8 @@ def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > op.n:
         raise ValueError(f"rank {rank} exceeds operator dimension {op.n}")
-    if op.n <= dense_threshold():
-        U, s, Vh = np.linalg.svd(_materialize(op), full_matrices=False)
+    if op.materialize is not None and op.n <= dense_threshold():
+        U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
     else:
         U, s, V = _lanczos_bidiag(op, rank, tol, seed)

@@ -1,6 +1,5 @@
 """Ground-truth synthesis, random sampling, metrics, frequency extraction."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,27 +138,3 @@ def extract_frequencies(z_hat, order: int) -> np.ndarray:
         )
     phases = np.angle(np.linalg.eigvals(shift)) / (2.0 * np.pi)
     return np.sort(np.mod(phases, 1.0))
-
-
-def circular_distance(a, b) -> np.ndarray:
-    """Distance on the frequency circle [0, 1)."""
-    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
-    return np.minimum(d, 1.0 - d)
-
-
-def match_frequencies(estimated, reference) -> float:
-    """Largest circular error under the best one-to-one pairing.
-
-    Brute-force assignment; intended for the small orders used in tests.
-    """
-    est = np.asarray(estimated, dtype=np.float64).reshape(-1)
-    ref = np.asarray(reference, dtype=np.float64).reshape(-1)
-    if est.shape != ref.shape:
-        raise ValueError(f"order mismatch: {est.size} vs {ref.size}")
-    if est.size > 9:
-        raise ValueError("assignment matching is only supported up to order 9")
-    best = np.inf
-    for perm in itertools.permutations(range(est.size)):
-        worst = float(np.max(circular_distance(est[list(perm)], ref)))
-        best = min(best, worst)
-    return best

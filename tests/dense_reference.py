@@ -3,9 +3,11 @@
 Mirrors the library's iteration semantics exactly, but every object is a
 dense matrix and every projection runs through numpy primitives. Kept
 independent of the package internals on purpose: only public dataclasses
-are consumed, never the factored code paths under test.
+are consumed, never the factored code paths under test. Also holds the
+frequency matching that scores recovered frequencies against the truth.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +25,9 @@ def dense_hankel(z: np.ndarray) -> np.ndarray:
 def dense_antidiag_sums(X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     flipped = np.flipud(X)
-    return np.array([flipped.diagonal(j - n + 1).sum() for j in range(2 * n - 1)])
+    return np.array(
+        [flipped.diagonal(j - n + 1).sum() for j in range(2 * n - 1)], dtype=np.complex128
+    )
 
 
 def dense_weights(n: int) -> np.ndarray:
@@ -135,3 +139,20 @@ def dense_solve(obs: ObservationSet, cfg: SolverConfig):
             converged = True
             break
     return state.z, iterations, converged, np.array(objs)
+
+
+def circular_distance(a, b) -> np.ndarray:
+    """Distance on the frequency circle [0, 1)."""
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def match_frequencies(estimated, reference) -> float:
+    """Largest circular error under the best one-to-one pairing (brute force, small orders)."""
+    est = np.asarray(estimated, dtype=np.float64).reshape(-1)
+    ref = np.asarray(reference, dtype=np.float64).reshape(-1)
+    assert est.shape == ref.shape and est.size <= 9, (est.size, ref.size)
+    return min(
+        float(np.max(circular_distance(est[list(perm)], ref)))
+        for perm in itertools.permutations(range(est.size))
+    )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,45 @@ class TestUsage:
         assert run(*argv, "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("synth", f) for f in ("--delta1", "--delta2", "--tol", "--max-iter", "--accelerated",
+                                 "--bound", "--threads", "--strict")),
+        *(("phase", f) for f in ("--rank", "--samples", "--strict")),
+        *(("bench", f) for f in ("--n", "--rank", "--samples", "--threads", "--strict")),
+        ("compare", "--threads"),
+        ("compare", "--accelerated"),
+        ("solve", "--threads"),
+    ])
+    def test_flag_not_read_by_command_is_rejected(self, tmp_path, capsys, command, flag):
+        base = {
+            "synth": ("--n", 8, "--rank", 1, "--samples", 5),
+            "phase": ("--n", 8, "--rank-values", 1, "--samples-values", 8, "--trials", 1),
+            "bench": ("--case", "8,1,5", "--repeats", 1),
+            "compare": ("--n", 8, "--rank", 1, "--samples", 5),
+            "solve": ("--n", 8, "--rank", 1, "--samples", 5),
+        }[command]
+        value = () if flag in ("--accelerated", "--strict") else (2,)
+        out = tmp_path / "out"
+        assert run(command, *base, flag, *value, "--out", out) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        assert not re.search(re.escape(flag) + r"(?![\w-])", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("threads", [-2, 0])
+    def test_threads_below_one_before_any_trial(self, tmp_path, capsys, monkeypatch, threads):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran trials before checking --threads")
+
+        monkeypatch.setattr(cli, "run_phase", refuse)
+        out = tmp_path / "out"
+        code = run("phase", "--n", 8, "--rank-values", 1, "--samples-values", 8, "--trials", 2,
+                   "--threads", threads, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: --threads must be at least 1, got {threads}")
+        assert not (out / "phase.csv").exists()
 
 
 class TestConfigPrecedence:

@@ -14,13 +14,17 @@ from lrhankel import (
     hankel_dense,
     hankel_frobenius_sq,
     hankel_operator,
-    project_dense_to_hankel,
     project_hankel_blend,
 )
 from lrhankel.hankel import fft_length
 from lrhankel.lowrank import lowrank_dense
 
-from dense_reference import constrained_hankel_lstsq, dense_antidiag_sums, dense_hankel
+from dense_reference import (
+    constrained_hankel_lstsq,
+    dense_antidiag_sums,
+    dense_hankel,
+    dense_project_hankel,
+)
 
 
 def random_hankel(n, rng):
@@ -75,7 +79,7 @@ class TestTypes:
 
     def test_observation_set_allows_empty(self):
         obs = ObservationSet(3, [], [])
-        assert obs.num_observed == 0
+        assert obs.indices.size == 0 and obs.values.size == 0
 
 
 class TestWeights:
@@ -191,13 +195,13 @@ class TestAntidiagSums:
 
 class TestProjection:
     def test_plain_mean_example(self):
-        z = project_dense_to_hankel(np.array([[1.0, 3.0], [5.0, 7.0]]))
-        assert np.allclose(z.values, [1, 4, 7])
+        z = dense_project_hankel(np.array([[1.0, 3.0], [5.0, 7.0]]), None)
+        assert np.allclose(z, [1, 4, 7])
 
     def test_observed_overwrite_example(self):
         obs = ObservationSet(2, [1], [9.0])
-        z = project_dense_to_hankel(np.array([[1.0, 3.0], [5.0, 7.0]]), obs)
-        assert np.allclose(z.values, [1, 9, 7])
+        z = dense_project_hankel(np.array([[1.0, 3.0], [5.0, 7.0]]), obs)
+        assert np.allclose(z, [1, 9, 7])
 
     def test_idempotent(self):
         # observed coordinates repeat bit for bit; unobserved means can move
@@ -205,10 +209,10 @@ class TestProjection:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         obs = ObservationSet(6, [0, 3, 7], rng.standard_normal(3))
-        once = project_dense_to_hankel(X, obs)
-        twice = project_dense_to_hankel(dense_hankel(once.values), obs)
-        assert np.array_equal(once.values[obs.indices], twice.values[obs.indices])
-        assert np.allclose(twice.values, once.values, rtol=1e-14, atol=1e-14)
+        once = dense_project_hankel(X, obs)
+        twice = dense_project_hankel(dense_hankel(once), obs)
+        assert np.array_equal(once[obs.indices], twice[obs.indices])
+        assert np.allclose(twice, once, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_constrained_lstsq_oracle(self, seed):
@@ -218,9 +222,9 @@ class TestProjection:
         m = int(rng.integers(0, 2 * n))
         idx = np.sort(rng.choice(2 * n - 1, size=m, replace=False))
         obs = ObservationSet(n, idx, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        closed = project_dense_to_hankel(X, obs)
+        closed = dense_project_hankel(X, obs)
         oracle = constrained_hankel_lstsq(X, obs)
-        num = np.linalg.norm(dense_hankel(closed.values) - dense_hankel(oracle))
+        num = np.linalg.norm(dense_hankel(closed) - dense_hankel(oracle))
         assert num <= 1e-10 * max(np.linalg.norm(dense_hankel(oracle)), 1.0)
 
     def test_least_squares_optimality_among_feasible_competitors(self):
@@ -231,8 +235,8 @@ class TestProjection:
             m = int(rng.integers(0, n))
             idx = np.sort(rng.choice(2 * n - 1, size=m, replace=False))
             obs = ObservationSet(n, idx, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            best = project_dense_to_hankel(X, obs)
-            best_dist = np.linalg.norm(dense_hankel(best.values) - X)
+            best = dense_project_hankel(X, obs)
+            best_dist = np.linalg.norm(dense_hankel(best) - X)
             for _ in range(100):
                 z = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
                 z[obs.indices] = obs.values
@@ -265,8 +269,8 @@ class TestProjection:
             delta2 = float(rng.uniform(0.05, 0.95))
             got = project_hankel_blend(h, antidiag_sums_lowrank(f), delta2, obs)
             blend = (1 - delta2) * dense_hankel(h.values) + delta2 * lowrank_dense(f)
-            expected = project_dense_to_hankel(blend, obs)
-            assert np.allclose(got.values, expected.values, rtol=1e-11, atol=1e-11)
+            expected = dense_project_hankel(blend, obs)
+            assert np.allclose(got.values, expected, rtol=1e-11, atol=1e-11)
 
     def test_blend_rejects_bad_delta(self):
         h = HankelVector.zeros(3)

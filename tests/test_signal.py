@@ -14,7 +14,8 @@ from lrhankel import (
     project_rank,
     synthesize,
 )
-from lrhankel.signal import circular_distance, match_frequencies
+
+from dense_reference import circular_distance, match_frequencies
 
 
 class TestModel:

@@ -23,10 +23,11 @@ from lrhankel import (
     synthesize,
 )
 from lrhankel.dense_guard import DEFAULT_DENSE_THRESHOLD
-from lrhankel.lowrank import LowRankFactors, lowrank_dense, project_rank
+from lrhankel.lowrank import LowRankFactors, project_rank
 from lrhankel.solver import blend_operator
 
 from dense_reference import (
+    dense_hankel,
     dense_init,
     dense_objective,
     dense_pgd_step,
@@ -252,7 +253,9 @@ class TestBlendOperator:
             f = LowRankFactors(n, U[:, :rank], s[:rank], Vh[:rank].conj().T)
         delta1 = 0.3
         op = blend_operator(f, h, delta1)
-        dense = (1 - delta1) * lowrank_dense(f) + delta1 * hankel_dense(h)
+        # built from the oracle's Hankel matrix and U diag(sigma) V*, not from
+        # the package's dense helpers that `materialize` calls
+        dense = (1 - delta1) * densify(f) + delta1 * dense_hankel(h.values)
         assert np.allclose(op.materialize(), dense, rtol=0, atol=1e-13 * np.abs(dense).max())
         for _ in range(3):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
