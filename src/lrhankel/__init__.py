@@ -9,11 +9,6 @@ FISTA-style accelerated variant, and ships a reproducible command-line
 experiment harness on top.
 """
 
-from .dense_guard import (
-    DenseMaterializationError,
-    dense_limit,
-    dense_threshold,
-)
 from .hankel import (
     HankelVector,
     ObservationSet,
@@ -25,9 +20,11 @@ from .hankel import (
     project_hankel_blend,
 )
 from .lowrank import (
+    DenseMaterializationError,
     LinearOperator,
     LowRankFactors,
     SvdConvergenceError,
+    dense_threshold,
     project_rank,
 )
 from .signal import (
@@ -69,7 +66,6 @@ __all__ = [
     "SvdConvergenceError",
     "antidiag_sums_lowrank",
     "antidiag_weights",
-    "dense_limit",
     "dense_threshold",
     "extract_frequencies",
     "fista_step",

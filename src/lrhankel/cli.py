@@ -162,18 +162,18 @@ def build_parser() -> Parser:
 class Settings:
     """Flag > config file > default resolution for every known key."""
 
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
+    def __init__(self, args: argparse.Namespace, config: dict[str, object]):
         self._args = args
         self._config = config
 
+    def flag(self, key: str):
+        return getattr(self._args, key, None)
+
     def get(self, key: str):
-        flag = getattr(self._args, key, None)
+        flag = self.flag(key)
         if flag is not None:
             return flag
-        setting = _SETTINGS[key]
-        if key in self._config:
-            return setting.convert(self._config[key])
-        return setting.default
+        return self._config.get(key, _SETTINGS[key].default)
 
     def require(self, key: str):
         value = self.get(key)
@@ -234,6 +234,10 @@ def cmd_solve(settings: Settings) -> int:
     out_dir = settings.get("out")
 
     obs_file, signal_file = settings.get("obs_file"), settings.get("signal_file")
+    if signal_file is not None and obs_file is None:
+        raise UsageError("--signal-file needs --obs-file; a synthesized instance has its own truth")
+    if obs_file is not None and settings.flag("samples") is not None:
+        raise UsageError("--samples does not apply with --obs-file, which fixes the observed samples")
     if obs_file is not None:
         obs = read_observation_file(obs_file, n)
         x_true = None
@@ -384,14 +388,21 @@ def cmd_compare(settings: Settings) -> int:
     return 0
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, str]:
+def _load_config(args: argparse.Namespace) -> dict[str, object]:
+    """Every key of the --config file, converted; a value that does not parse is an input error."""
     if args.config is None:
         return {}
     config = read_config_file(args.config)
     unknown = set(config) - {key for key, s in _SETTINGS.items() if s.config}
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return config
+    values = {}
+    for key, text in config.items():
+        try:
+            values[key] = _SETTINGS[key].convert(text)
+        except ValueError as exc:
+            raise InputFileError(f"{args.config}: key {key}: {exc}") from None
+    return values
 
 
 _COMMANDS = {

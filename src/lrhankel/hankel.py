@@ -13,8 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dense_guard import ensure_dense_allowed
-from .lowrank import LinearOperator, LowRankFactors
+from .lowrank import LinearOperator, LowRankFactors, ensure_dense_allowed
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ P, without applying the operator again. At or below the dense threshold,
 an operator that can materialize itself takes a plain dense SVD instead.
 Either way one cut applies: singular values that are zero or below 1e-12
 of the largest are dropped.
+
+Everything in this package runs in O(n R) memory. Dense n-by-n matrices
+are allowed up to DENSE_THRESHOLD, as the fast path above and as test
+oracles, and refused above it with DenseMaterializationError.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,25 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dense_guard import dense_threshold, ensure_dense_allowed
+DENSE_THRESHOLD = 256
+
+
+class DenseMaterializationError(RuntimeError):
+    """Raised when a code path asks for an n-by-n buffer with n above the threshold."""
+
+
+def dense_threshold() -> int:
+    """The largest n for which dense n-by-n buffers may be allocated."""
+    return DENSE_THRESHOLD
+
+
+def ensure_dense_allowed(n: int, context: str) -> None:
+    """Raise DenseMaterializationError if an n-by-n allocation is out of policy."""
+    if n > DENSE_THRESHOLD:
+        raise DenseMaterializationError(
+            f"refusing to materialize a dense {n}x{n} matrix in {context}: "
+            f"n exceeds the dense threshold {DENSE_THRESHOLD}"
+        )
 
 
 class SvdConvergenceError(RuntimeError):
@@ -110,9 +132,9 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int, n: int
     return np.zeros(n, dtype=np.complex128)
 
 
-def _reorthogonalize(x: np.ndarray, basis: np.ndarray, passes: int = 2) -> np.ndarray:
+def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # classical Gram-Schmidt, two passes ("twice is enough")
-    for _ in range(passes):
+    for _ in range(2):
         if basis.shape[0]:
             x = x - basis.T @ np.conj(basis @ np.conj(x))
     return x
@@ -223,7 +245,7 @@ def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > op.n:
         raise ValueError(f"rank {rank} exceeds operator dimension {op.n}")
-    if op.materialize is not None and op.n <= dense_threshold():
+    if op.materialize is not None and op.n <= DENSE_THRESHOLD:
         U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
     else:

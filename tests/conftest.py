@@ -1,0 +1,9 @@
+import pytest
+
+import lrhankel.lowrank
+
+
+@pytest.fixture
+def lanczos_only(monkeypatch):
+    """Send every rank projection of the test down the Lanczos path."""
+    monkeypatch.setattr(lrhankel.lowrank, "DENSE_THRESHOLD", 0)

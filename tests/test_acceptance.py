@@ -15,7 +15,6 @@ from lrhankel import (
     ObservationSet,
     SolverConfig,
     SpectralModel,
-    dense_limit,
     extract_frequencies,
     init_state,
     make_instance,
@@ -52,14 +51,10 @@ def criterion(name, budget_seconds):
     print(f"\nACCEPTANCE {name}: PASS ({elapsed:.1f}s)")
 
 
-def wrap_dense(A):
+def matrix_free(A):
+    """A as an operator without `materialize`, so it takes the Lanczos path."""
     A = np.asarray(A, dtype=np.complex128)
-    return LinearOperator(
-        n=A.shape[0],
-        apply=lambda v: A @ v,
-        apply_adjoint=lambda v: A.conj().T @ v,
-        materialize=lambda: A,
-    )
+    return LinearOperator(n=A.shape[0], apply=lambda v: A @ v, apply_adjoint=lambda v: A.conj().T @ v)
 
 
 def separated_spectrum_matrix(n, rng):
@@ -96,13 +91,12 @@ def test_rank_projection_matches_dense_svd_truncation():
                 A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             U, s, Vh = np.linalg.svd(A)
             oracle = (U[:, :r] * s[:r]) @ Vh[:r]
-            with dense_limit(0):  # force the matrix-free path
-                f = project_rank(wrap_dense(A), r, tol=1e-12, seed=case)
+            f = project_rank(matrix_free(A), r, tol=1e-12, seed=case)
             approx = (f.U * f.sigma) @ f.V.conj().T if f.rank else np.zeros_like(A)
             assert np.linalg.norm(approx - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
 
 
-def test_factored_iterates_match_dense_reference():
+def test_factored_iterates_match_dense_reference(lanczos_only):
     with criterion("factored-vs-dense-reference-iterates", budget_seconds=30):
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -112,13 +106,11 @@ def test_factored_iterates_match_dense_reference():
             inst = make_instance(n, rank, samples, seed)
             cfg = SolverConfig(rank=rank, svd_seed=seed)
             ref = dense_init(inst.obs, cfg)
-            with dense_limit(0):
-                state = init_state(inst.obs, cfg)
+            state = init_state(inst.obs, cfg)
             scale = max(np.linalg.norm(inst.x_true), 1.0)
             for _ in range(20):
                 ref = dense_pgd_step(ref, inst.obs, cfg)
-                with dense_limit(0):
-                    state = pgd_step(state, inst.obs, cfg)
+                state = pgd_step(state, inst.obs, cfg)
                 assert np.linalg.norm(state.z.values - ref.z) <= 1e-8 * scale
                 factored = (
                     (state.factors.U * state.factors.sigma) @ state.factors.V.conj().T

@@ -176,6 +176,24 @@ class TestUsage:
             run(command, "--help")
         assert not re.search(re.escape(flag) + r"(?![\w-])", capsys.readouterr().out)
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--samples", 12, "--signal-file", "inst/signal.csv"), "--signal-file needs --obs-file"),
+        (("--samples", 12, "--signal-file", "absent.csv"), "--signal-file needs --obs-file"),
+        (("--samples", 12, "--obs-file", "inst/observations.csv"), "--samples does not apply with --obs-file"),
+    ], ids=["signal-without-obs", "absent-signal-without-obs", "samples-with-obs"])
+    def test_solve_flag_pair_ignored_is_rejected(self, tmp_path, capsys, monkeypatch, flags, message):
+        assert run("synth", "--n", 16, "--rank", 2, "--samples", 12, "--out", tmp_path / "inst") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read an input file before rejecting the flags")
+
+        for name in ("read_observation_file", "read_signal_file", "make_instance"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        assert run("solve", "--n", 16, "--rank", 2, *flags, "--out", "out") == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threads", [-2, 0])
     def test_threads_below_one_before_any_trial(self, tmp_path, capsys, monkeypatch, threads):
         def refuse(*args, **kwargs):
@@ -208,6 +226,21 @@ class TestConfigPrecedence:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobs=3\n")
         assert run("solve", "--config", cfg, "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("line, code, message", [
+        ("max_iter=abc", 2, "input error: {cfg}: key max_iter: "),
+        ("accelerated=maybe", 2, "input error: {cfg}: key accelerated: "),
+        ("delta1=x", 2, "input error: {cfg}: key delta1: "),
+        # a value that parses but is out of range is a usage error
+        ("tol=-1", 1, "usage error: tol must be positive"),
+    ])
+    def test_bad_config_value_before_any_output(self, tmp_path, capsys, line, code, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=8\nrank=1\nsamples=15\n{line}\n")
+        out = tmp_path / "o"
+        assert run("solve", "--config", cfg, "--out", out) == code
+        assert capsys.readouterr().err.startswith(message.format(cfg=cfg))
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run("solve", "--config", tmp_path / "none.cfg", "--out", tmp_path / "o") == 2

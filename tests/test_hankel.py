@@ -10,14 +10,13 @@ from lrhankel import (
     ObservationSet,
     antidiag_sums_lowrank,
     antidiag_weights,
-    dense_limit,
     hankel_dense,
     hankel_frobenius_sq,
     hankel_operator,
     project_hankel_blend,
 )
 from lrhankel.hankel import fft_length
-from lrhankel.lowrank import lowrank_dense
+from lrhankel.lowrank import DENSE_THRESHOLD, lowrank_dense
 
 from dense_reference import (
     constrained_hankel_lstsq,
@@ -114,10 +113,9 @@ class TestDense:
         assert not hankel_dense(HankelVector(2, [0, 0, 0])).any()
 
     def test_guard_blocks_large_n(self):
-        h = HankelVector.zeros(8)
-        with dense_limit(4):
-            with pytest.raises(DenseMaterializationError):
-                hankel_dense(h)
+        h = HankelVector.zeros(DENSE_THRESHOLD + 1)
+        with pytest.raises(DenseMaterializationError):
+            hankel_dense(h)
 
 
 class TestMatvec:

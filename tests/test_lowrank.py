@@ -6,19 +6,19 @@ from lrhankel import (
     LinearOperator,
     LowRankFactors,
     SvdConvergenceError,
-    dense_limit,
     project_rank,
 )
-from lrhankel.lowrank import lowrank_dense
+from lrhankel.lowrank import DENSE_THRESHOLD, lowrank_dense
 
 
-def dense_operator(A):
+def dense_operator(A, materialize=True):
+    """A as an operator; without `materialize` it takes the Lanczos path."""
     A = np.asarray(A, dtype=np.complex128)
     return LinearOperator(
         n=A.shape[0],
         apply=lambda v: A @ v,
         apply_adjoint=lambda v: A.conj().T @ v,
-        materialize=lambda: A,
+        materialize=(lambda: A) if materialize else None,
     )
 
 
@@ -65,10 +65,9 @@ class TestFactors:
         assert np.allclose(lowrank_dense(f), 2 * np.outer(np.eye(3)[0], np.eye(3)[1]))
 
     def test_dense_guard(self):
-        f = LowRankFactors.zero(10)
-        with dense_limit(5):
-            with pytest.raises(DenseMaterializationError):
-                lowrank_dense(f)
+        f = LowRankFactors.zero(DENSE_THRESHOLD + 1)
+        with pytest.raises(DenseMaterializationError):
+            lowrank_dense(f)
 
 
 class TestTruncatedSvd:
@@ -81,10 +80,8 @@ class TestTruncatedSvd:
         assert np.allclose(approx, np.diag([3.0, 2.0, 0.0]), atol=1e-12)
 
     def test_zero_operator(self):
-        op = dense_operator(np.zeros((5, 5)))
-        assert project_rank(op, 3).rank == 0
-        with dense_limit(0):
-            assert project_rank(op, 3).rank == 0
+        assert project_rank(dense_operator(np.zeros((5, 5))), 3).rank == 0
+        assert project_rank(dense_operator(np.zeros((5, 5)), materialize=False), 3).rank == 0
 
     def test_rejects_bad_rank(self):
         op = dense_operator(np.eye(3))
@@ -101,8 +98,7 @@ class TestTruncatedSvd:
         A = random_spectrum_matrix(n, rng)
         U, s, Vh = np.linalg.svd(A)
         oracle = (U[:, :r] * s[:r]) @ Vh[:r]
-        with dense_limit(0):  # force the iterative path
-            f = project_rank(dense_operator(A), r, tol=1e-12, seed=seed)
+        f = project_rank(dense_operator(A, materialize=False), r, tol=1e-12, seed=seed)
         assert np.allclose(f.sigma, s[:r], rtol=1e-8)
         assert np.linalg.norm(lowrank_dense(f) - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
@@ -110,10 +106,9 @@ class TestTruncatedSvd:
     def test_residual_contract(self, seed):
         rng = np.random.default_rng(100 + seed)
         A = random_spectrum_matrix(24, rng)
-        op = dense_operator(A)
+        op = dense_operator(A, materialize=False)
         tol = 1e-10
-        with dense_limit(0):
-            f = project_rank(op, 3, tol=tol, seed=seed)
+        f = project_rank(op, 3, tol=tol, seed=seed)
         for i in range(f.rank):
             residual = np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i])
             assert residual <= 10 * tol * f.sigma[0]
@@ -121,9 +116,8 @@ class TestTruncatedSvd:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         A = random_spectrum_matrix(20, rng)
-        with dense_limit(0):
-            f1 = project_rank(dense_operator(A), 3, seed=5)
-            f2 = project_rank(dense_operator(A), 3, seed=5)
+        f1 = project_rank(dense_operator(A, materialize=False), 3, seed=5)
+        f2 = project_rank(dense_operator(A, materialize=False), 3, seed=5)
         assert np.array_equal(f1.U, f2.U)
         assert np.array_equal(f1.sigma, f2.sigma)
         assert np.array_equal(f1.V, f2.V)
@@ -131,8 +125,7 @@ class TestTruncatedSvd:
     def test_orthonormal_output(self):
         rng = np.random.default_rng(10)
         A = random_spectrum_matrix(30, rng)
-        with dense_limit(0):
-            f = project_rank(dense_operator(A), 4, seed=2)
+        f = project_rank(dense_operator(A, materialize=False), 4, seed=2)
         assert orthonormality_defect(f) <= 1e-10
 
     def test_nonconvergence_is_reported(self):
@@ -143,9 +136,8 @@ class TestTruncatedSvd:
             A = random_spectrum_matrix(n, rng)
             B = random_spectrum_matrix(n, rng)
             broken = LinearOperator(n, lambda v: A @ v, lambda v: B @ v)
-            with dense_limit(0):
-                with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
-                    project_rank(broken, rank, tol=tol, seed=0)
+            with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+                project_rank(broken, rank, tol=tol, seed=0)
 
     def test_inconsistent_adjoint_fails_fast(self):
         # adjoint A.T instead of A*: the first residual verification fails,
@@ -158,9 +150,8 @@ class TestTruncatedSvd:
             apply=lambda v: applies.append(1) or A @ v,
             apply_adjoint=lambda v: applies.append(1) or A.T @ v,
         )
-        with dense_limit(0):
-            with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
-                project_rank(broken, rank, seed=0)
+        with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+            project_rank(broken, rank, seed=0)
         assert len(applies) <= 200
 
     @pytest.mark.parametrize("eps, consistent", [
@@ -186,12 +177,11 @@ class TestTruncatedSvd:
             return fn
 
         op = LinearOperator(n, counted("apply", A), counted("apply_adjoint", Ah))
-        with dense_limit(0):
-            if not consistent:
-                with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
-                    project_rank(op, rank, tol=tol, seed=0)
-                return
-            f = project_rank(op, rank, tol=tol, seed=0)
+        if not consistent:
+            with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+                project_rank(op, rank, tol=tol, seed=0)
+            return
+        f = project_rank(op, rank, tol=tol, seed=0)
         # one apply and one adjoint apply per Lanczos step, none to verify
         assert calls["apply"] == calls["apply_adjoint"]
         assert sum(calls.values()) == 176
@@ -213,8 +203,7 @@ class TestTruncatedSvd:
             apply=lambda v: applies.append(1) or d * v,
             apply_adjoint=lambda v: applies.append(1) or np.conj(d) * v,
         )
-        with dense_limit(0):
-            f = project_rank(op, r, seed=0)
+        f = project_rank(op, r, seed=0)
         assert len(applies) > 2 * (10 * r + 50)
         assert np.all(np.abs(f.sigma - s[:r]) <= 1e-9 * s[:r])
         # the leading singular vectors span the first r coordinates, up to

@@ -10,7 +10,6 @@ from lrhankel import (
     SolverConfig,
     SpectralModel,
     antidiag_sums_lowrank,
-    dense_limit,
     dense_threshold,
     fista_step,
     hankel_dense,
@@ -22,7 +21,6 @@ from lrhankel import (
     solve,
     synthesize,
 )
-from lrhankel.dense_guard import DEFAULT_DENSE_THRESHOLD
 from lrhankel.lowrank import LowRankFactors, project_rank
 from lrhankel.solver import blend_operator
 
@@ -166,16 +164,15 @@ class TestSteps:
 
     @pytest.mark.parametrize("bound", [None, 1.5])
     @pytest.mark.parametrize("step", [pgd_step, fista_step])
-    def test_feasibility_bit_exact_on_the_lanczos_path(self, step, bound):
+    def test_feasibility_bit_exact_on_the_lanczos_path(self, step, bound, lanczos_only):
         inst = make_instance(40, 3, 30, seed=5)
         cfg = SolverConfig(rank=3, accelerated=step is fista_step, bound=bound, svd_seed=5)
-        with dense_limit(0):
-            state = init_state(inst.obs, cfg)
-            for _ in range(10):
-                state = step(state, inst.obs, cfg)
-                assert np.array_equal(state.z.values[inst.obs.indices], inst.obs.values)
-                assert np.array_equal(state.z_tilde.values[inst.obs.indices], inst.obs.values)
-                assert state.factors.rank <= 3
+        state = init_state(inst.obs, cfg)
+        for _ in range(10):
+            state = step(state, inst.obs, cfg)
+            assert np.array_equal(state.z.values[inst.obs.indices], inst.obs.values)
+            assert np.array_equal(state.z_tilde.values[inst.obs.indices], inst.obs.values)
+            assert state.factors.rank <= 3
         if bound is not None:
             assert np.abs(np.delete(state.z.values, inst.obs.indices)).max() <= bound * (1 + 1e-15)
 
@@ -233,8 +230,8 @@ class TestSteps:
         op = blend_operator(state.factors, state.z, cfg.delta1)
         assert op.n > dense_threshold()
         f = project_rank(op, 8, seed=cfg.svd_seed)
-        with dense_limit(op.n):
-            U, s, Vh = np.linalg.svd(op.materialize())
+        blend = (1 - cfg.delta1) * densify(state.factors) + cfg.delta1 * dense_hankel(state.z.values)
+        U, s, Vh = np.linalg.svd(blend)
         assert f.rank == 8
         assert np.all(np.abs(f.sigma - s[:8]) <= 1e-9 * s[:8])
         for got, want in ((f.U, U[:, :8]), (f.V, Vh[:8].conj().T)):
@@ -345,17 +342,15 @@ class TestSolve:
             assert np.all(np.diff(h) <= slack)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_dense_reference_iterate_by_iterate(self, seed):
+    def test_matches_dense_reference_iterate_by_iterate(self, seed, lanczos_only):
         inst = make_instance(9, 2, 10, seed=seed)
         cfg = SolverConfig(rank=2, svd_seed=seed)
         ref = dense_init(inst.obs, cfg)
-        with dense_limit(0):
-            state = init_state(inst.obs, cfg)
+        state = init_state(inst.obs, cfg)
         scale = np.linalg.norm(inst.x_true)
         for _ in range(20):
             ref = dense_pgd_step(ref, inst.obs, cfg)
-            with dense_limit(0):
-                state = pgd_step(state, inst.obs, cfg)
+            state = pgd_step(state, inst.obs, cfg)
             assert np.linalg.norm(state.z.values - ref.z) <= 1e-8 * scale
             assert np.linalg.norm(densify(state.factors) - ref.L) <= 1e-8 * scale
             assert abs(objective(state.factors, state.z, state.sums) - dense_objective(ref)) <= 1e-8 * scale**2
@@ -368,47 +363,16 @@ class TestSolve:
         assert accel.iterations <= plain.iterations
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_accelerated_solve_matches_dense_reference(self, seed):
+    def test_accelerated_solve_matches_dense_reference(self, seed, lanczos_only):
         inst = make_instance(10, 2, 12, seed=seed)
         cfg = SolverConfig(rank=2, accelerated=True, tol=1e-6, max_iter=200, svd_seed=seed)
         z_ref, iters_ref, conv_ref, objs_ref = dense_solve(inst.obs, cfg)
-        with dense_limit(0):
-            result = solve(inst.obs, cfg)
+        result = solve(inst.obs, cfg)
         assert result.iterations == iters_ref
         assert result.converged == conv_ref
         scale = np.linalg.norm(inst.x_true)
         assert np.linalg.norm(result.z_hat - z_ref) <= 1e-8 * scale
         assert np.allclose(result.objective_history, objs_ref, rtol=1e-8, atol=1e-10 * scale**2)
-
-    def test_dense_limit_is_per_thread(self):
-        # a dense_limit held by one thread leaves another thread's threshold
-        # and its solve, which stays on the dense path at n=64, untouched
-        import threading
-
-        inst = make_instance(64, 2, 40, seed=12)
-        cfg = SolverConfig(rank=2, max_iter=20, svd_seed=12)
-        expected = solve(inst.obs, cfg).z_hat
-        held, release, seen = threading.Event(), threading.Event(), []
-
-        def hold():
-            with dense_limit(0):
-                seen.append(dense_threshold())
-                held.set()
-                release.wait(timeout=60)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            assert held.wait(timeout=60)
-            assert dense_threshold() == DEFAULT_DENSE_THRESHOLD
-            assert np.array_equal(solve(inst.obs, cfg).z_hat, expected)
-        finally:
-            release.set()
-            holder.join(timeout=60)
-        assert not holder.is_alive()
-        assert seen == [0]
-        with dense_limit(0):
-            assert not np.array_equal(solve(inst.obs, cfg).z_hat, expected)
 
     def test_concurrent_solves_match_sequential(self):
         # solves share no mutable state, so racing them changes nothing
