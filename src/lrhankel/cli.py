@@ -186,6 +186,12 @@ def _solver_config(settings: Settings, rank: int, svd_seed: int) -> SolverConfig
     return SolverConfig(rank=rank, svd_seed=svd_seed, **{key: settings.get(key) for key in _SOLVER_KEYS})
 
 
+def _check_n(n: int, flag: str) -> None:
+    """Reject an n below 2 (a signal shorter than 3) before anything is synthesized or written."""
+    if n < 2:
+        raise UsageError(f"{flag} must be at least 2, got {n}")
+
+
 def _check_rank(rank: int, top: int, flag: str, where: str) -> None:
     """Reject a rank outside [1, top] before anything is synthesized or written."""
     if not 1 <= rank <= top:
@@ -227,6 +233,7 @@ def _write_solve_outputs(out_dir, result, n, rank, x_true=None):
 
 def cmd_solve(settings: Settings) -> int:
     n = settings.require("n")
+    _check_n(n, "--n")
     rank = settings.require("rank")
     # frequency extraction needs a rank-deficient n-by-n Hankel matrix
     _check_rank(rank, n - 1, "--rank", f"--n {n}")
@@ -262,6 +269,7 @@ def cmd_solve(settings: Settings) -> int:
 
 def cmd_synth(settings: Settings) -> int:
     n = settings.require("n")
+    _check_n(n, "--n")
     rank = settings.require("rank")
     # the bound of solve, so that every written instance can be solved
     _check_rank(rank, n - 1, "--rank", f"--n {n}")
@@ -283,8 +291,10 @@ def cmd_synth(settings: Settings) -> int:
 
 
 def cmd_phase(settings: Settings) -> int:
+    n = settings.require("n")
+    _check_n(n, "--n")
     grid = ExperimentGrid(
-        n=settings.require("n"),
+        n=n,
         rank_values=settings.require("rank_values"),
         sample_values=settings.require("samples_values"),
         trials=settings.get("trials"),
@@ -319,6 +329,7 @@ def cmd_phase(settings: Settings) -> int:
 def cmd_bench(settings: Settings) -> int:
     cases = settings.get("case")
     for n, rank, samples in cases:
+        _check_n(n, f"n of --case {n},{rank},{samples}")
         _check_rank(rank, n, "--case rank", f"--case {n},{rank},{samples}")
     rows = run_bench(
         cases,
@@ -348,6 +359,7 @@ def cmd_bench(settings: Settings) -> int:
 
 def cmd_compare(settings: Settings) -> int:
     n = settings.require("n")
+    _check_n(n, "--n")
     rank = settings.require("rank")
     _check_rank(rank, n, "--rank", f"--n {n}")
     samples = settings.require("samples")

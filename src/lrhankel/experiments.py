@@ -35,6 +35,8 @@ class ExperimentGrid:
     def __post_init__(self):
         object.__setattr__(self, "rank_values", tuple(int(r) for r in self.rank_values))
         object.__setattr__(self, "sample_values", tuple(int(m) for m in self.sample_values))
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.rank_values or not self.sample_values:

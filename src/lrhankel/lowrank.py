@@ -9,14 +9,17 @@ every max(R, 8) steps; once they pass, the triplets are confirmed by
 their residuals, and a failed confirmation raises at once. The recurrence
 keeps every product A v_k and A* u_k it makes, so the residuals of the
 Ritz vectors V = [v_k] Q and U = [u_k] P come from those rows times Q and
-P, without applying the operator again. At or below the dense threshold,
-an operator that can materialize itself takes a plain dense SVD instead.
-Either way one cut applies: singular values that are zero or below 1e-12
-of the largest are dropped.
+P, without applying the operator again. Lanczos costs a fixed overhead
+plus about R + 2 to 2R steps, while a dense SVD costs the same at every
+rank, so where n <= DENSE_CROSSOVER (R + 6) an operator that can
+materialize itself takes a plain dense SVD instead. Either way one cut
+applies: singular values that are zero or below 1e-12 of the largest are
+dropped.
 
 Everything in this package runs in O(n R) memory. Dense n-by-n matrices
-are allowed up to DENSE_THRESHOLD, as the fast path above and as test
-oracles, and refused above it with DenseMaterializationError.
+are allowed up to DENSE_THRESHOLD, for the dense SVD and as test oracles,
+and refused above it with DenseMaterializationError. That limit is a
+memory guard, not a cost crossover.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 
 DENSE_THRESHOLD = 256
+# above n = DENSE_CROSSOVER * (rank + 6), Lanczos beat the dense SVD in every
+# cell measured at n = 16..256 on mid-solve blend operators (CHANGES.md)
+DENSE_CROSSOVER = 7
 
 
 class DenseMaterializationError(RuntimeError):
@@ -103,8 +109,9 @@ class LinearOperator:
     """Square operator given by matvec callbacks.
 
     `materialize`, when provided, returns the dense matrix; project_rank
-    uses it at or below the dense threshold and otherwise runs Lanczos on
-    the callbacks alone, so correctness never depends on it.
+    uses it where a dense SVD is the cheaper path and the dense threshold
+    allows it, and otherwise runs Lanczos on the callbacks alone, so
+    correctness never depends on it.
     """
 
     n: int
@@ -245,7 +252,7 @@ def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > op.n:
         raise ValueError(f"rank {rank} exceeds operator dimension {op.n}")
-    if op.materialize is not None and op.n <= DENSE_THRESHOLD:
+    if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):
         U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
     else:

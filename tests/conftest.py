@@ -6,4 +6,4 @@ import lrhankel.lowrank
 @pytest.fixture
 def lanczos_only(monkeypatch):
     """Send every rank projection of the test down the Lanczos path."""
-    monkeypatch.setattr(lrhankel.lowrank, "DENSE_THRESHOLD", 0)
+    monkeypatch.setattr(lrhankel.lowrank, "DENSE_CROSSOVER", 0)

@@ -138,12 +138,19 @@ class TestUsage:
         (("compare", "--n", 8, "--rank", 9, "--samples", 5), "--rank must lie in [1, 8]"),
         (("bench", "--case", "8,9,5", "--repeats", 1), "--case rank must lie in [1, 8]"),
         (("bench", "--case", "16,1,10", "--case", "8,0,5"), "--case rank must lie in [1, 8]"),
-    ], ids=["synth-rank-n", "synth-rank-n+1", "compare", "bench", "bench-second-case"])
+        (("solve", "--n", 1, "--rank", 1, "--samples", 1), "--n must be at least 2, got 1"),
+        (("synth", "--n", 1, "--rank", 1, "--samples", 1), "--n must be at least 2, got 1"),
+        (("compare", "--n", 0, "--rank", 1, "--samples", 1), "--n must be at least 2, got 0"),
+        (("phase", "--n", 1, "--rank-values", 1, "--samples-values", 1, "--trials", 1),
+         "--n must be at least 2, got 1"),
+        (("bench", "--case", "1,1,1"), "n of --case 1,1,1 must be at least 2, got 1"),
+    ], ids=["synth-rank-n", "synth-rank-n+1", "compare", "bench", "bench-second-case",
+            "solve-n-1", "synth-n-1", "compare-n-0", "phase-n-1", "bench-n-1"])
     def test_rank_outside_bounds_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("synthesized before the rank check")
 
-        for name in ("make_instance", "run_bench", "run_compare"):
+        for name in ("make_instance", "run_bench", "run_compare", "run_phase"):
             monkeypatch.setattr(cli, name, refuse)
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 1

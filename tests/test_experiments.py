@@ -46,6 +46,8 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
             small_grid(trials=0)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            small_grid(n=1, rank_values=(1,), sample_values=(1,))
         with pytest.raises(ValueError, match="sample counts"):
             small_grid(sample_values=(40,))
         with pytest.raises(ValueError, match="nonempty"):

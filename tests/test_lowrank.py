@@ -128,6 +128,26 @@ class TestTruncatedSvd:
         f = project_rank(dense_operator(A, materialize=False), 4, seed=2)
         assert orthonormality_defect(f) <= 1e-10
 
+    @pytest.mark.parametrize("n, rank, dense", [
+        (64, 1, False), (64, 2, False), (64, 3, False),
+        (64, 4, True), (48, 2, True), (32, 1, True), (256, 64, True),
+        (257, 1, False),
+    ])
+    def test_path_is_chosen_by_cost(self, n, rank, dense):
+        # the dense SVD only where it is the cheaper path and the memory guard allows it
+        A = random_spectrum_matrix(n, np.random.default_rng(n + rank), decay=0.5)
+        calls = []
+
+        def materialize():
+            calls.append(n)
+            return A
+
+        op = LinearOperator(n, lambda v: A @ v, lambda v: A.conj().T @ v, materialize)
+        f = project_rank(op, rank, seed=0)
+        assert len(calls) == int(dense)
+        s = np.linalg.svd(A, compute_uv=False)[: f.rank]
+        assert np.all(np.abs(f.sigma - s) <= 1e-9 * s[0])
+
     def test_nonconvergence_is_reported(self):
         # an inconsistent "adjoint" breaks the bidiagonalization invariants,
         # so residuals cannot reach the tolerance even at full Krylov dimension

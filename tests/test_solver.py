@@ -10,7 +10,6 @@ from lrhankel import (
     SolverConfig,
     SpectralModel,
     antidiag_sums_lowrank,
-    dense_threshold,
     fista_step,
     hankel_dense,
     init_state,
@@ -218,23 +217,30 @@ class TestSteps:
             state = fista_step(state, obs, cfg)
         assert np.allclose(state.z.values, x, atol=1e-8)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lanczos_projection_matches_dense_svd_mid_solve(self, seed):
+    @pytest.mark.parametrize("n, rank, samples, seed", [
+        *(pytest.param(300, 8, 150, seed, id=str(seed)) for seed in range(4)),
+        # below the dense threshold, where the small ranks take Lanczos
+        *(pytest.param(64, rank, 30, seed, id=f"n64-r{rank}-{seed}") for rank in (1, 2, 3) for seed in range(4)),
+    ])
+    def test_lanczos_projection_matches_dense_svd_mid_solve(self, n, rank, samples, seed):
         # the Ritz check after every Lanczos step may stop early; it must not
         # stop before a leading triplet of a real iterate has converged
-        inst = make_instance(300, 8, 150, seed)
-        cfg = SolverConfig(rank=8)
+        inst = make_instance(n, rank, samples, seed)
+        cfg = SolverConfig(rank=rank)
         state = init_state(inst.obs, cfg)
         for _ in range(5):
             state = pgd_step(state, inst.obs, cfg)
         op = blend_operator(state.factors, state.z, cfg.delta1)
-        assert op.n > dense_threshold()
-        f = project_rank(op, 8, seed=cfg.svd_seed)
+
+        def refuse():
+            raise AssertionError("the projection took the dense path")
+
+        f = project_rank(dataclasses.replace(op, materialize=refuse), rank, seed=cfg.svd_seed)
         blend = (1 - cfg.delta1) * densify(state.factors) + cfg.delta1 * dense_hankel(state.z.values)
         U, s, Vh = np.linalg.svd(blend)
-        assert f.rank == 8
-        assert np.all(np.abs(f.sigma - s[:8]) <= 1e-9 * s[:8])
-        for got, want in ((f.U, U[:, :8]), (f.V, Vh[:8].conj().T)):
+        assert f.rank == rank
+        assert np.all(np.abs(f.sigma - s[:rank]) <= 1e-9 * s[:rank])
+        for got, want in ((f.U, U[:, :rank]), (f.V, Vh[:rank].conj().T)):
             projector = want @ want.conj().T
             assert np.linalg.norm(got @ got.conj().T - projector) <= 1e-9 * np.linalg.norm(projector)
 
