@@ -3,26 +3,31 @@
 Flags override config-file keys, which override defaults. Exit codes:
 0 success, 1 usage error, 2 input error, 3 non-convergence under --strict,
 4 numerical failure.
+
+A subcommand returns its tables by file name and, if a solve did not
+converge, the message that --strict exits with. `main` creates --out only
+after every table is computed, so an error leaves no partial output.
 """
 
 import argparse
 import os
 import sys
 from dataclasses import fields
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .csvio import (
     InputFileError,
+    Table,
     fmt_float,
     fmt_int,
     read_config_file,
     read_observation_file,
     read_signal_file,
+    sample_table,
     write_csv,
-    write_observation_file,
-    write_signal_file,
 )
 from .experiments import (
     ExperimentGrid,
@@ -38,6 +43,9 @@ from .signal import (
     relative_error,
 )
 from .solver import RecoveryResult, SolverConfig, solve
+
+
+Outcome = tuple[dict[str, Table], Optional[str]]
 
 
 class UsageError(Exception):
@@ -192,53 +200,39 @@ def _check_n(n: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at least 2, got {n}")
 
 
-def _check_rank(rank: int, top: int, flag: str, where: str) -> None:
-    """Reject a rank outside [1, top] before anything is synthesized or written."""
-    if not 1 <= rank <= top:
-        raise UsageError(f"{flag} must lie in [1, {top}] for {where}, got {rank}")
+def _check_range(value: int, top: int, flag: str, where: str) -> None:
+    """Reject a rank or sample count outside [1, top] before anything is synthesized or written."""
+    if not 1 <= value <= top:
+        raise UsageError(f"{flag} must lie in [1, {top}] for {where}, got {value}")
 
 
-def _history_rows(result: RecoveryResult):
-    rows = [["0", fmt_float(result.objective_history[0]), ""]]
-    for i, rel in enumerate(result.relchange_history, start=1):
-        rows.append([fmt_int(i), fmt_float(result.objective_history[i]), fmt_float(rel)])
-    return rows
-
-
-def _write_solve_outputs(out_dir, result, n, rank, x_true=None):
-    os.makedirs(out_dir, exist_ok=True)
-    write_signal_file(os.path.join(out_dir, "recovered.csv"), result.z_hat)
-    write_csv(
-        os.path.join(out_dir, "history.csv"),
-        ["iteration", "objective", "relchange"],
-        _history_rows(result),
-    )
-    summary = [
-        ["n", fmt_int(n)],
-        ["rank", fmt_int(rank)],
-        ["iterations", fmt_int(result.iterations)],
-        ["converged", "true" if result.converged else "false"],
-        ["final_objective", fmt_float(result.objective_history[-1])],
-    ]
-    if x_true is not None:
-        summary.append(["relative_error", fmt_float(relative_error(result.z_hat, x_true))])
-    try:
-        freqs = extract_frequencies(result.z_hat, rank)
-        summary.append(["frequency_extraction", "ok"])
-        summary.extend([f"freq_{k}", fmt_float(f)] for k, f in enumerate(freqs))
-    except PencilConditionError:
-        summary.append(["frequency_extraction", "failed"])
-    write_csv(os.path.join(out_dir, "summary.csv"), ["key", "value"], summary)
-
-
-def cmd_solve(settings: Settings) -> int:
+def _n_and_rank(settings: Settings, deficient: bool) -> tuple[int, int]:
+    """--n, at least 2, and --rank, in [1, n - 1] if the Hankel matrix must be `deficient`, else [1, n]."""
     n = settings.require("n")
     _check_n(n, "--n")
     rank = settings.require("rank")
+    _check_range(rank, n - 1 if deficient else n, "--rank", f"--n {n}")
+    return n, rank
+
+
+def _samples(settings: Settings, n: int) -> int:
+    samples = settings.require("samples")
+    _check_range(samples, 2 * n - 1, "--samples", f"--n {n}")
+    return samples
+
+
+def _history_rows(result: RecoveryResult):
+    relchanges = ["", *map(fmt_float, result.relchange_history)]
+    return [
+        [fmt_int(i), fmt_float(objective), relchange]
+        for i, (objective, relchange) in enumerate(zip(result.objective_history, relchanges))
+    ]
+
+
+def cmd_solve(settings: Settings) -> Outcome:
     # frequency extraction needs a rank-deficient n-by-n Hankel matrix
-    _check_rank(rank, n - 1, "--rank", f"--n {n}")
+    n, rank = _n_and_rank(settings, deficient=True)
     seed = settings.get("seed")
-    out_dir = settings.get("out")
 
     obs_file, signal_file = settings.get("obs_file"), settings.get("signal_file")
     if signal_file is not None and obs_file is None:
@@ -254,43 +248,53 @@ def cmd_solve(settings: Settings) -> int:
                 raise InputFileError(
                     f"{signal_file}: signal length {len(x_true)} does not match n={n}"
                 )
+            if not np.any(x_true):
+                raise InputFileError(f"{signal_file}: signal is zero, so its relative error is undefined")
     else:
-        samples = settings.require("samples")
-        inst = make_instance(n, rank, samples, seed)
+        inst = make_instance(n, rank, _samples(settings, n), seed)
         obs, x_true = inst.obs, inst.x_true
 
     result = solve(obs, _solver_config(settings, rank, svd_seed=seed))
-    _write_solve_outputs(out_dir, result, n, rank, x_true)
-    if settings.get("strict") and not result.converged:
-        print("solver did not converge within max_iter", file=sys.stderr)
-        return 3
-    return 0
+    summary = [
+        ["n", fmt_int(n)],
+        ["rank", fmt_int(rank)],
+        ["iterations", fmt_int(result.iterations)],
+        ["converged", "true" if result.converged else "false"],
+        ["final_objective", fmt_float(result.objective_history[-1])],
+    ]
+    if x_true is not None:
+        summary.append(["relative_error", fmt_float(relative_error(result.z_hat, x_true))])
+    try:
+        freqs = extract_frequencies(result.z_hat, rank)
+        summary.append(["frequency_extraction", "ok"])
+        summary.extend([f"freq_{k}", fmt_float(f)] for k, f in enumerate(freqs))
+    except PencilConditionError:
+        summary.append(["frequency_extraction", "failed"])
+    tables = {
+        "recovered.csv": sample_table(range(len(result.z_hat)), result.z_hat),
+        "history.csv": (["iteration", "objective", "relchange"], _history_rows(result)),
+        "summary.csv": (["key", "value"], summary),
+    }
+    return tables, None if result.converged else "solver did not converge within max_iter"
 
 
-def cmd_synth(settings: Settings) -> int:
-    n = settings.require("n")
-    _check_n(n, "--n")
-    rank = settings.require("rank")
+def cmd_synth(settings: Settings) -> Outcome:
     # the bound of solve, so that every written instance can be solved
-    _check_rank(rank, n - 1, "--rank", f"--n {n}")
-    samples = settings.require("samples")
-    inst = make_instance(n, rank, samples, settings.get("seed"))
-    out_dir = settings.get("out")
-    os.makedirs(out_dir, exist_ok=True)
-    write_signal_file(os.path.join(out_dir, "signal.csv"), inst.x_true)
-    write_observation_file(os.path.join(out_dir, "observations.csv"), inst.obs)
-    write_csv(
-        os.path.join(out_dir, "model.csv"),
-        ["k", "freq", "amp_re", "amp_im"],
-        (
-            [fmt_int(k), fmt_float(f), fmt_float(d.real), fmt_float(d.imag)]
-            for k, (f, d) in enumerate(zip(inst.model.freqs, inst.model.amps))
-        ),
-    )
-    return 0
+    n, rank = _n_and_rank(settings, deficient=True)
+    inst = make_instance(n, rank, _samples(settings, n), settings.get("seed"))
+    model = [
+        [fmt_int(k), fmt_float(f), fmt_float(d.real), fmt_float(d.imag)]
+        for k, (f, d) in enumerate(zip(inst.model.freqs, inst.model.amps))
+    ]
+    tables = {
+        "signal.csv": sample_table(range(len(inst.x_true)), inst.x_true),
+        "observations.csv": sample_table(inst.obs.indices, inst.obs.values),
+        "model.csv": (["k", "freq", "amp_re", "amp_im"], model),
+    }
+    return tables, None
 
 
-def cmd_phase(settings: Settings) -> int:
+def cmd_phase(settings: Settings) -> Outcome:
     n = settings.require("n")
     _check_n(n, "--n")
     grid = ExperimentGrid(
@@ -306,98 +310,70 @@ def cmd_phase(settings: Settings) -> int:
         workers = os.cpu_count() or 1
     elif workers < 1:
         raise UsageError(f"--threads must be at least 1, got {workers}")
-    cells = run_phase(grid, workers=workers)
-    out_dir = settings.get("out")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "phase.csv"),
-        ["rank", "samples", "trials", "successes", "success_rate"],
-        (
-            [
-                fmt_int(c.rank),
-                fmt_int(c.samples),
-                fmt_int(c.trials),
-                fmt_int(c.successes),
-                fmt_float(c.success_rate),
-            ]
-            for c in cells
-        ),
-    )
-    return 0
+    rows = [
+        [
+            fmt_int(c.rank),
+            fmt_int(c.samples),
+            fmt_int(c.trials),
+            fmt_int(c.successes),
+            fmt_float(c.success_rate),
+        ]
+        for c in run_phase(grid, workers=workers)
+    ]
+    return {"phase.csv": (["rank", "samples", "trials", "successes", "success_rate"], rows)}, None
 
 
-def cmd_bench(settings: Settings) -> int:
+def cmd_bench(settings: Settings) -> Outcome:
     cases = settings.get("case")
     for n, rank, samples in cases:
-        _check_n(n, f"n of --case {n},{rank},{samples}")
-        _check_rank(rank, n, "--case rank", f"--case {n},{rank},{samples}")
-    rows = run_bench(
-        cases,
-        _solver_config(settings, rank=1, svd_seed=0),
-        master_seed=settings.get("seed"),
-        repeats=settings.get("repeats"),
-    )
-    out_dir = settings.get("out")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "bench.csv"),
-        ["n", "rank", "samples", "elapsed_seconds", "iterations", "factor_bytes"],
-        (
-            [
-                fmt_int(r.n),
-                fmt_int(r.rank),
-                fmt_int(r.samples),
-                fmt_float(r.elapsed_seconds),
-                fmt_int(r.iterations),
-                fmt_int(r.factor_bytes),
-            ]
-            for r in rows
-        ),
-    )
-    return 0
+        where = f"--case {n},{rank},{samples}"
+        _check_n(n, f"n of {where}")
+        _check_range(rank, n, "--case rank", where)
+        _check_range(samples, 2 * n - 1, "--case samples", where)
+    rows = [
+        [
+            fmt_int(r.n),
+            fmt_int(r.rank),
+            fmt_int(r.samples),
+            fmt_float(r.elapsed_seconds),
+            fmt_int(r.iterations),
+            fmt_int(r.factor_bytes),
+        ]
+        for r in run_bench(
+            cases,
+            _solver_config(settings, rank=1, svd_seed=0),
+            master_seed=settings.get("seed"),
+            repeats=settings.get("repeats"),
+        )
+    ]
+    header = ["n", "rank", "samples", "elapsed_seconds", "iterations", "factor_bytes"]
+    return {"bench.csv": (header, rows)}, None
 
 
-def cmd_compare(settings: Settings) -> int:
-    n = settings.require("n")
-    _check_n(n, "--n")
-    rank = settings.require("rank")
-    _check_rank(rank, n, "--rank", f"--n {n}")
-    samples = settings.require("samples")
-    result = run_compare(n, rank, samples, settings.get("seed"),
+def cmd_compare(settings: Settings) -> Outcome:
+    n, rank = _n_and_rank(settings, deficient=False)
+    result = run_compare(n, rank, _samples(settings, n), settings.get("seed"),
                          _solver_config(settings, rank, svd_seed=0))
     plain, accel = result.plain, result.accelerated
-
-    rows = []
-    length = max(len(plain.objective_history), len(accel.objective_history))
-    p_hist = _history_rows(plain)
-    a_hist = _history_rows(accel)
-    for i in range(length):
-        p = p_hist[i][1:] if i < len(p_hist) else ["", ""]
-        a = a_hist[i][1:] if i < len(a_hist) else ["", ""]
-        rows.append([fmt_int(i), *p, *a])
-
-    out_dir = settings.get("out")
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "compare.csv"),
-        ["iteration", "plain_objective", "plain_relchange", "accel_objective", "accel_relchange"],
-        rows,
-    )
-    write_csv(
-        os.path.join(out_dir, "compare_summary.csv"),
-        ["key", "value"],
-        [
-            ["plain_iterations", fmt_int(plain.iterations)],
-            ["plain_converged", "true" if plain.converged else "false"],
-            ["accel_iterations", fmt_int(accel.iterations)],
-            ["accel_converged", "true" if accel.converged else "false"],
-            ["iteration_ratio", fmt_float(accel.iterations / plain.iterations)],
-        ],
-    )
-    if settings.get("strict") and not (plain.converged and accel.converged):
-        print("at least one solver did not converge within max_iter", file=sys.stderr)
-        return 3
-    return 0
+    histories = zip_longest(_history_rows(plain), _history_rows(accel), fillvalue=["", "", ""])
+    rows = [[fmt_int(i), *p[1:], *a[1:]] for i, (p, a) in enumerate(histories)]
+    summary = [
+        ["plain_iterations", fmt_int(plain.iterations)],
+        ["plain_converged", "true" if plain.converged else "false"],
+        ["accel_iterations", fmt_int(accel.iterations)],
+        ["accel_converged", "true" if accel.converged else "false"],
+        ["iteration_ratio", fmt_float(accel.iterations / plain.iterations)],
+    ]
+    tables = {
+        "compare.csv": (
+            ["iteration", "plain_objective", "plain_relchange", "accel_objective", "accel_relchange"],
+            rows,
+        ),
+        "compare_summary.csv": (["key", "value"], summary),
+    }
+    if plain.converged and accel.converged:
+        return tables, None
+    return tables, "at least one solver did not converge within max_iter"
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, object]:
@@ -431,7 +407,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         command, _ = _COMMANDS[args.command]
-        return command(Settings(args, _load_config(args)))
+        settings = Settings(args, _load_config(args))
+        tables, unconverged = command(settings)
+        out_dir = settings.get("out")
+        os.makedirs(out_dir, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            write_csv(os.path.join(out_dir, name), header, rows)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -445,6 +426,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    if unconverged is not None and settings.get("strict"):
+        print(unconverged, file=sys.stderr)
+        return 3
+    return 0
 
 
 def main_entry() -> None:

@@ -15,6 +15,9 @@ import numpy as np
 from .hankel import ObservationSet
 
 
+Table = tuple[list[str], list[list[str]]]
+
+
 class InputFileError(Exception):
     """Malformed or unreadable input file; message carries file and line."""
 
@@ -34,24 +37,10 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Non
             fh.write(",".join(row) + "\n")
 
 
-def write_signal_file(path, x: np.ndarray) -> None:
-    x = np.asarray(x, dtype=np.complex128)
-    write_csv(
-        path,
-        ["t", "re", "im"],
-        ([fmt_int(t), fmt_float(v.real), fmt_float(v.imag)] for t, v in enumerate(x)),
-    )
-
-
-def write_observation_file(path, obs: ObservationSet) -> None:
-    write_csv(
-        path,
-        ["t", "re", "im"],
-        (
-            [fmt_int(t), fmt_float(v.real), fmt_float(v.imag)]
-            for t, v in zip(obs.indices, obs.values)
-        ),
-    )
+def sample_table(indices, values) -> Table:
+    """The Table (header, formatted rows) t,re,im of a whole signal or of observed samples."""
+    rows = [[fmt_int(t), fmt_float(v.real), fmt_float(v.imag)] for t, v in zip(indices, values)]
+    return ["t", "re", "im"], rows
 
 
 def _parse_rows(path) -> list[tuple[int, int, complex]]:

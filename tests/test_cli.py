@@ -98,6 +98,22 @@ class TestSolve:
         assert code == 0
         assert read_summary(out / "summary.csv")["converged"] == "true"
 
+    def test_zero_signal_file_is_input_error_before_solve(self, tmp_path, capsys, monkeypatch):
+        inst, out = tmp_path / "inst", tmp_path / "out"
+        assert run("synth", "--n", 8, "--rank", 1, "--samples", 10, "--out", inst) == 0
+        zero = tmp_path / "zero.csv"
+        zero.write_text("t,re,im\n" + "".join(f"{t},0,0\n" for t in range(15)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before checking the signal file")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        code = run("solve", "--n", 8, "--rank", 1, "--obs-file", inst / "observations.csv",
+                   "--signal-file", zero, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"input error: {zero}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [
         SvdConvergenceError("Lanczos stalled"),
         np.linalg.LinAlgError("SVD did not converge"),
@@ -112,6 +128,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical error: {error}")
         assert "Traceback" not in err
+
+    def test_numerical_failure_after_solve_leaves_no_outputs(self, tmp_path, capsys, monkeypatch):
+        def failing_extraction(z_hat, order):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "extract_frequencies", failing_extraction)
+        out = tmp_path / "o"
+        assert run("solve", "--n", 8, "--rank", 1, "--samples", 10, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: eigenvalues did not converge")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUsage:
@@ -144,8 +172,13 @@ class TestUsage:
         (("phase", "--n", 1, "--rank-values", 1, "--samples-values", 1, "--trials", 1),
          "--n must be at least 2, got 1"),
         (("bench", "--case", "1,1,1"), "n of --case 1,1,1 must be at least 2, got 1"),
+        (("solve", "--n", 8, "--rank", 1, "--samples", 16), "--samples must lie in [1, 15] for --n 8, got 16"),
+        (("synth", "--n", 8, "--rank", 1, "--samples", 0), "--samples must lie in [1, 15] for --n 8, got 0"),
+        (("compare", "--n", 8, "--rank", 1, "--samples", 40), "--samples must lie in [1, 15] for --n 8, got 40"),
+        (("bench", "--case", "8,1,40"), "--case samples must lie in [1, 15] for --case 8,1,40, got 40"),
     ], ids=["synth-rank-n", "synth-rank-n+1", "compare", "bench", "bench-second-case",
-            "solve-n-1", "synth-n-1", "compare-n-0", "phase-n-1", "bench-n-1"])
+            "solve-n-1", "synth-n-1", "compare-n-0", "phase-n-1", "bench-n-1",
+            "solve-samples", "synth-samples-0", "compare-samples", "bench-samples"])
     def test_rank_outside_bounds_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("synthesized before the rank check")
