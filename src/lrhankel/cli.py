@@ -200,9 +200,11 @@ def _check_n(n: int, flag: str) -> None:
         raise UsageError(f"{flag} must be at least 2, got {n}")
 
 
-def _check_range(value: int, top: int, flag: str, where: str) -> None:
-    """Reject a rank or sample count outside [1, top] before anything is synthesized or written."""
-    if not 1 <= value <= top:
+def _check_range(value: int, top: int | None, flag: str, where: str = "") -> None:
+    """Reject a count outside [1, top], or below 1 if top is None, before anything is synthesized or written."""
+    if top is None and value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    if top is not None and not 1 <= value <= top:
         raise UsageError(f"{flag} must lie in [1, {top}] for {where}, got {value}")
 
 
@@ -297,19 +299,25 @@ def cmd_synth(settings: Settings) -> Outcome:
 def cmd_phase(settings: Settings) -> Outcome:
     n = settings.require("n")
     _check_n(n, "--n")
+    rank_values, sample_values = settings.require("rank_values"), settings.require("samples_values")
+    for rank in rank_values:
+        _check_range(rank, n, "--rank-values", f"--n {n}")
+    for samples in sample_values:
+        _check_range(samples, 2 * n - 1, "--samples-values", f"--n {n}")
+    trials = settings.get("trials")
+    _check_range(trials, None, "--trials")
     grid = ExperimentGrid(
         n=n,
-        rank_values=settings.require("rank_values"),
-        sample_values=settings.require("samples_values"),
-        trials=settings.get("trials"),
+        rank_values=rank_values,
+        sample_values=sample_values,
+        trials=trials,
         master_seed=settings.get("seed"),
         solver=_solver_config(settings, rank=1, svd_seed=0),
     )
     workers = settings.get("threads")
     if workers is None:
         workers = os.cpu_count() or 1
-    elif workers < 1:
-        raise UsageError(f"--threads must be at least 1, got {workers}")
+    _check_range(workers, None, "--threads")
     rows = [
         [
             fmt_int(c.rank),
@@ -325,6 +333,7 @@ def cmd_phase(settings: Settings) -> Outcome:
 
 def cmd_bench(settings: Settings) -> Outcome:
     cases = settings.get("case")
+    _check_range(settings.get("repeats"), None, "--repeats")
     for n, rank, samples in cases:
         where = f"--case {n},{rank},{samples}"
         _check_n(n, f"n of {where}")

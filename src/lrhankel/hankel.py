@@ -105,27 +105,33 @@ def hankel_dense(h: HankelVector) -> np.ndarray:
     return h.values[k[:, None] + k[None, :]]
 
 
-def _correlate(zf: np.ndarray, v: np.ndarray, n: int, length: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.shape != (n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({n},)")
-    vf = np.fft.fft(v[::-1], length)
-    return np.fft.ifft(zf * vf)[n - 1 : 2 * n - 1]
-
-
 def hankel_operator(h: HankelVector) -> LinearOperator:
-    """Matvec contract for H(z); H is complex symmetric, so H* v = conj(H conj(v)) reuses one transform."""
+    """Matvec contract for H(z), both products in O(n log n).
+
+    H v is the middle of the correlation of z with v: ifft(fft(z) fft(rev v)).
+    H is complex symmetric, so H* v = conj(H conj(v)); carried through the
+    transforms, that is fft(conj(fft(z)) ifft(rev v)), the same bits with no
+    conjugation per apply (the length is a power of two, so moving the 1/length
+    scale is exact). The spectral product is taken in place, in the array the
+    first transform returns; the operator keeps nothing between calls.
+    """
     n = h.n
     length = fft_length(n)
     zf = np.fft.fft(h.values, length)
+    zf_conj = np.conj(zf)
 
-    def apply(v):
-        return _correlate(zf, v, n, length)
+    def product(v, first, spectrum, second):
+        v = np.asarray(v, dtype=np.complex128).reshape(-1)
+        if v.shape != (n,):
+            raise ValueError(f"vector has shape {v.shape}, expected ({n},)")
+        x = first(v[::-1], length)
+        np.multiply(spectrum, x, out=x)
+        return second(x)[n - 1 : 2 * n - 1]
 
     return LinearOperator(
         n=n,
-        apply=apply,
-        apply_adjoint=lambda v: np.conj(apply(np.conj(v))),
+        apply=lambda v: product(v, np.fft.fft, zf, np.fft.ifft),
+        apply_adjoint=lambda v: product(v, np.fft.ifft, zf_conj, np.fft.fft),
         materialize=lambda: hankel_dense(h),
     )
 
@@ -140,9 +146,11 @@ def antidiag_sums_lowrank(f: LowRankFactors) -> np.ndarray:
     if f.rank == 0:
         return np.zeros(2 * n - 1, dtype=np.complex128)
     length = fft_length(n)
-    uf = np.fft.fft(f.U * f.sigma, length, axis=0)
-    vf = np.fft.fft(np.conj(f.V), length, axis=0)
-    return np.fft.ifft((uf * vf).sum(axis=1))[: 2 * n - 1]
+    # one contiguous row per rank-one term: row FFTs beat axis-0 column FFTs
+    uf = np.fft.fft(np.multiply(f.U.T, f.sigma[:, None], order="C"), length)
+    vf = np.fft.fft(np.conjugate(f.V.T, order="C"), length)
+    uf *= vf
+    return np.fft.ifft(uf.sum(axis=0))[: 2 * n - 1]
 
 
 def project_hankel_blend(

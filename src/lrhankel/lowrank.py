@@ -9,12 +9,21 @@ every max(R, 8) steps; once they pass, the triplets are confirmed by
 their residuals, and a failed confirmation raises at once. The recurrence
 keeps every product A v_k and A* u_k it makes, so the residuals of the
 Ritz vectors V = [v_k] Q and U = [u_k] P come from those rows times Q and
-P, without applying the operator again. Lanczos costs a fixed overhead
-plus about R + 2 to 2R steps, while a dense SVD costs the same at every
-rank, so where n <= DENSE_CROSSOVER (R + 6) an operator that can
-materialize itself takes a plain dense SVD instead. Either way one cut
-applies: singular values that are zero or below 1e-12 of the largest are
-dropped.
+P, without applying the operator again. The check compares squared
+column sums, taken on the float view of the residuals, with the square of
+its threshold. Lanczos costs a fixed overhead plus about R + 2 to 2R
+steps, while a dense SVD costs the same at every rank, so where
+n <= DENSE_CROSSOVER (R + 6) an operator that can materialize itself takes
+a plain dense SVD instead. Either way one cut applies: singular values
+that are zero or below 1e-12 of the largest are dropped.
+
+The four row buffers of the recurrence (the bases u_k and v_k and the
+products A v_k and A* u_k) live in a LanczosRows that the caller may hold
+across projections: solve keeps one for the length of the solve, so each
+projection writes into rows already paged in and only grows them when a
+projection needs more. Without one, a projection allocates its own. A
+LanczosRows belongs to one solve at a time; it is never module state,
+because threads share the module.
 
 Everything in this package runs in O(n R) memory. Dense n-by-n matrices
 are allowed up to DENSE_THRESHOLD, for the dense SVD and as test oracles,
@@ -22,6 +31,7 @@ and refused above it with DenseMaterializationError. That limit is a
 memory guard, not a cost crossover.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -128,6 +138,27 @@ def lowrank_dense(f: LowRankFactors) -> np.ndarray:
     return (f.U * f.sigma) @ f.V.conj().T
 
 
+class LanczosRows:
+    """Row buffers of _lanczos_bidiag, reused by the projections of one caller.
+
+    Rows past the current Lanczos step hold stale values and are never read.
+    """
+
+    def __init__(self):
+        self._buffers: tuple[np.ndarray, ...] = ()
+
+    def take(self, rows: int, n: int, keep: int = 0) -> tuple[np.ndarray, ...]:
+        """Four (rows, n) buffers; when they must grow, the first `keep` rows carry over."""
+        held = self._buffers
+        if not held or held[0].shape[0] < rows or held[0].shape[1] != n:
+            grown = tuple(np.empty((rows, n), dtype=np.complex128) for _ in range(4))
+            if keep:
+                for new, old in zip(grown, held):
+                    new[:keep] = old[:keep]
+            self._buffers = held = grown
+        return tuple(b[:rows] for b in held)
+
+
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int, n: int):
     """Random unit vector orthogonal to the first k rows of `basis`, or zero."""
     for _ in range(5):
@@ -140,14 +171,24 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int, n: int
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # classical Gram-Schmidt, two passes ("twice is enough")
-    for _ in range(2):
-        if basis.shape[0]:
-            x = x - basis.T @ np.conj(basis @ np.conj(x))
+    # classical Gram-Schmidt, two passes ("twice is enough"), in place
+    if basis.shape[0]:
+        for _ in range(2):
+            x -= np.conj(basis @ np.conj(x)) @ basis
     return x
 
 
-def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _worst_column_sq(R: np.ndarray) -> float:
+    """Largest squared column norm of a complex n-by-r matrix, from its float view."""
+    sq = np.einsum("ij,ij->j", R.view(np.float64), R.view(np.float64))
+    return float((sq[0::2] + sq[1::2]).max())
+
+
+def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
     """Leading `rank` Ritz triplets (U, sigma, V), verified by their residuals."""
     n = op.n
     rng = np.random.default_rng(seed)
@@ -158,8 +199,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
     next_check = rank + 1
 
     # basis rows, doubled when full: most projections stop within 4 * block
-    Ub = np.empty((min(max_steps, 4 * block), n), dtype=np.complex128)
-    Vb, AV, AU = np.empty_like(Ub), np.empty_like(Ub), np.empty_like(Ub)
+    Ub, Vb, AV, AU = rows.take(min(max_steps, 4 * block), n)
     alphas: list[float] = []
     betas: list[float] = []
 
@@ -171,25 +211,24 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
 
     while k < max_steps:
         if k == Ub.shape[0]:
-            extra = np.empty((min(k, max_steps - k), n), dtype=np.complex128)
-            Ub, Vb, AV, AU = (np.concatenate([b, extra]) for b in (Ub, Vb, AV, AU))
+            Ub, Vb, AV, AU = rows.take(k + min(k, max_steps - k), n, keep=k)
         Vb[k] = v
         AV[k] = op.apply(v)
-        u = AV[k] - beta_prev * u_prev
-        u = _reorthogonalize(u, Ub[:k])
-        alpha = float(np.linalg.norm(u))
+        u = _reorthogonalize(AV[k] - beta_prev * u_prev, Ub[:k])
+        alpha = _norm(u)
         scale = max(scale, alpha)
         if alpha <= 1e-14 * max(scale, 1.0):
             alpha = 0.0
             u = _fresh_direction(rng, Ub, k, n)
         else:
-            u = u / alpha
+            # numpy divides complex by real through the reciprocal, so these
+            # are the bits of u / alpha, without the temporary
+            u *= 1.0 / alpha
         Ub[k] = u
 
         AU[k] = op.apply_adjoint(u)
-        w = AU[k] - alpha * v
-        w = _reorthogonalize(w, Vb[: k + 1])
-        beta = float(np.linalg.norm(w))
+        w = _reorthogonalize(AU[k] - alpha * v, Vb[: k + 1])
+        beta = _norm(w)
         scale = max(scale, beta)
         if k + 1 >= n:
             beta, w = 0.0, np.zeros(n, dtype=np.complex128)
@@ -197,7 +236,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
             beta = 0.0
             w = _fresh_direction(rng, Vb, k + 1, n)
         else:
-            w = w / beta
+            w *= 1.0 / beta
         alphas.append(alpha)
         betas.append(beta)
         v, u_prev, beta_prev = w, u, beta
@@ -220,11 +259,10 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
             # residuals, and raise if they fail: more steps cannot help. By
             # linearity A V and A* U are the stored products times Q_r and
             # P_r, so the check costs no further apply
-            worst = max(
-                np.linalg.norm(AV[:k].T @ Q_r - U * sigma, axis=0).max(),
-                np.linalg.norm(AU[:k].T @ P_r - V * sigma, axis=0).max(),
-            )
-            if worst > 10.0 * floor:
+            RV, RU = AV[:k].T @ Q_r, AU[:k].T @ P_r
+            RV -= U * sigma
+            RU -= V * sigma
+            if max(_worst_column_sq(RV), _worst_column_sq(RU)) > (10.0 * floor) ** 2:
                 raise SvdConvergenceError(
                     f"singular triplets passed the Ritz estimates but failed residual "
                     f"verification after {k} Lanczos steps (n={n}); the operator's "
@@ -238,7 +276,9 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int):
     )
 
 
-def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0) -> LowRankFactors:
+def project_rank(
+    op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0, rows: Optional[LanczosRows] = None
+) -> LowRankFactors:
     """Best rank-`rank` approximation of the operator (Eckart-Young truncation).
 
     Deterministic for a fixed seed. When the spectrum is degenerate at the
@@ -246,7 +286,8 @@ def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 
     an arbitrary but seed-deterministic choice. Singular values that are zero
     or below 1e-12 of the largest are dropped, so the result can have rank
     below the requested bound. Raises SvdConvergenceError instead of
-    returning silently inaccurate triplets.
+    returning silently inaccurate triplets. `rows`, when given, lends the
+    Lanczos path its row buffers; the result never refers to them.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -256,6 +297,6 @@ def project_rank(op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 
         U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
     else:
-        U, s, V = _lanczos_bidiag(op, rank, tol, seed)
+        U, s, V = _lanczos_bidiag(op, rank, tol, seed, LanczosRows() if rows is None else rows)
     r = int(np.count_nonzero((s > 0) & (s >= 1e-12 * s[0])))
     return LowRankFactors(op.n, U[:, :r], s[:r], V[:, :r])

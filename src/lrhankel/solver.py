@@ -32,6 +32,7 @@ from .hankel import (
     project_hankel_blend,
 )
 from .lowrank import (
+    LanczosRows,
     LinearOperator,
     LowRankFactors,
     lowrank_dense,
@@ -107,14 +108,22 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
         raise ValueError(f"dimension mismatch: factors n={f.n}, h n={h.n}")
     hop = hankel_operator(h)
     c = 1.0 - delta1
-    # conjugated once per operator, not once per apply
-    Uh, Vh = f.U.conj().T, f.V.conj().T
+    # conjugated rows, made contiguous once per operator, not once per apply
+    Uh, Vh = np.conjugate(f.U.T, order="C"), np.conjugate(f.V.T, order="C")
+
+    def blend(hv, X, Yh, v):
+        # hv is the Hankel product, a fresh array: the sum accumulates in it
+        hv *= delta1
+        low = X @ (f.sigma * (Yh @ v))
+        low *= c
+        hv += low
+        return hv
 
     def apply(v):
-        return c * (f.U @ (f.sigma * (Vh @ v))) + delta1 * hop.apply(v)
+        return blend(hop.apply(v), f.U, Vh, v)
 
     def apply_adjoint(v):
-        return c * (f.V @ (f.sigma * (Uh @ v))) + delta1 * hop.apply_adjoint(v)
+        return blend(hop.apply_adjoint(v), f.V, Uh, v)
 
     return LinearOperator(
         n=h.n,
@@ -146,19 +155,25 @@ def _clamped(h: HankelVector, bound: float, obs: ObservationSet) -> HankelVector
     return h
 
 
-def init_state(obs: ObservationSet, cfg: SolverConfig) -> IterateState:
-    """Feasible start: zero-fill the unobserved coordinates, then rank-project."""
+def init_state(obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None) -> IterateState:
+    """Feasible start: zero-fill the unobserved coordinates, then rank-project.
+
+    `rows`, here and in the steps, lends the rank projection its Lanczos
+    buffers; solve passes one LanczosRows to every projection it makes.
+    """
     z0 = np.zeros(2 * obs.n - 1, dtype=np.complex128)
     z0[obs.indices] = obs.values
     h0 = HankelVector(obs.n, z0)
-    f0 = project_rank(hankel_operator(h0), cfg.rank, seed=cfg.svd_seed)
+    f0 = project_rank(hankel_operator(h0), cfg.rank, seed=cfg.svd_seed, rows=rows)
     sums = hankel.antidiag_sums_lowrank(f0)
     return IterateState(factors=f0, sums=sums, z=h0, z_tilde=h0, momentum=1.0, t=0)
 
 
-def _half_steps(f: LowRankFactors, centre: HankelVector, obs: ObservationSet, cfg: SolverConfig):
+def _half_steps(
+    f: LowRankFactors, centre: HankelVector, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None
+):
     """New factors toward H(centre), their anti-diagonal sums, and the data step from centre."""
-    f1 = project_rank(blend_operator(f, centre, cfg.delta1), cfg.rank, seed=cfg.svd_seed)
+    f1 = project_rank(blend_operator(f, centre, cfg.delta1), cfg.rank, seed=cfg.svd_seed, rows=rows)
     sums = hankel.antidiag_sums_lowrank(f1)
     z1 = project_hankel_blend(centre, sums, cfg.delta2, obs)
     if cfg.bound is not None:
@@ -166,13 +181,17 @@ def _half_steps(f: LowRankFactors, centre: HankelVector, obs: ObservationSet, cf
     return f1, sums, z1
 
 
-def pgd_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> IterateState:
+def pgd_step(
+    state: IterateState, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None
+) -> IterateState:
     """One plain descent iteration."""
-    f1, sums, z1 = _half_steps(state.factors, state.z, obs, cfg)
+    f1, sums, z1 = _half_steps(state.factors, state.z, obs, cfg, rows)
     return IterateState(factors=f1, sums=sums, z=z1, z_tilde=z1, momentum=1.0, t=state.t + 1)
 
 
-def fista_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> IterateState:
+def fista_step(
+    state: IterateState, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None
+) -> IterateState:
     """One accelerated iteration.
 
     Both half-steps are taken from the extrapolated iterate z_tilde: the
@@ -184,7 +203,7 @@ def fista_step(state: IterateState, obs: ObservationSet, cfg: SolverConfig) -> I
     pgd_step exactly. Extrapolation keeps observed coordinates exact; when
     a magnitude bound is active it is applied after the extrapolation too.
     """
-    f1, sums, z1 = _half_steps(state.factors, state.z_tilde, obs, cfg)
+    f1, sums, z1 = _half_steps(state.factors, state.z_tilde, obs, cfg, rows)
     k_next = (math.sqrt(1.0 + 4.0 * state.momentum**2) + 1.0) / 2.0
     coeff = (state.momentum - 1.0) / k_next
     z_tilde = HankelVector(obs.n, z1.values + coeff * (z1.values - state.z.values))
@@ -202,18 +221,20 @@ def solve(obs: ObservationSet, cfg: SolverConfig) -> RecoveryResult:
     exactly zero too. On the accelerated path the momentum is restarted
     (k reset to 1, extrapolation collapsed onto the current iterate)
     whenever the objective increases; without this safeguard the momentum
-    recursion oscillates and can diverge on this nonconvex problem.
+    recursion oscillates and can diverge on this nonconvex problem. The
+    solve holds one set of Lanczos row buffers for all its projections.
     """
     weights = antidiag_weights(obs.n)
     step = fista_step if cfg.accelerated else pgd_step
-    state = init_state(obs, cfg)
+    rows = LanczosRows()
+    state = init_state(obs, cfg, rows)
     objective_history = [objective(state.factors, state.z, state.sums)]
     relchange_history = []
     converged = False
 
     for _ in range(cfg.max_iter):
         previous = state.z.values
-        state = step(state, obs, cfg)
+        state = step(state, obs, cfg, rows)
         current = objective(state.factors, state.z, state.sums)
         if cfg.accelerated and current > objective_history[-1]:
             state = replace(state, momentum=1.0, z_tilde=state.z)

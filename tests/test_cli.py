@@ -176,9 +176,20 @@ class TestUsage:
         (("synth", "--n", 8, "--rank", 1, "--samples", 0), "--samples must lie in [1, 15] for --n 8, got 0"),
         (("compare", "--n", 8, "--rank", 1, "--samples", 40), "--samples must lie in [1, 15] for --n 8, got 40"),
         (("bench", "--case", "8,1,40"), "--case samples must lie in [1, 15] for --case 8,1,40, got 40"),
+        (("phase", "--n", 8, "--rank-values", "1,9", "--samples-values", 8, "--trials", 1),
+         "--rank-values must lie in [1, 8] for --n 8, got 9"),
+        (("phase", "--n", 8, "--rank-values", 0, "--samples-values", 8, "--trials", 1),
+         "--rank-values must lie in [1, 8] for --n 8, got 0"),
+        (("phase", "--n", 8, "--rank-values", 1, "--samples-values", "8,40", "--trials", 1),
+         "--samples-values must lie in [1, 15] for --n 8, got 40"),
+        (("phase", "--n", 8, "--rank-values", 1, "--samples-values", 8, "--trials", 0),
+         "--trials must be at least 1, got 0"),
+        (("bench", "--case", "8,1,5", "--repeats", 0), "--repeats must be at least 1, got 0"),
     ], ids=["synth-rank-n", "synth-rank-n+1", "compare", "bench", "bench-second-case",
             "solve-n-1", "synth-n-1", "compare-n-0", "phase-n-1", "bench-n-1",
-            "solve-samples", "synth-samples-0", "compare-samples", "bench-samples"])
+            "solve-samples", "synth-samples-0", "compare-samples", "bench-samples",
+            "phase-rank-values", "phase-rank-values-0", "phase-samples-values", "phase-trials",
+            "bench-repeats"])
     def test_rank_outside_bounds_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("synthesized before the rank check")

@@ -157,9 +157,25 @@ class TestMatvec:
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_dimension_mismatch(self):
-        h = HankelVector(3, np.ones(5))
-        with pytest.raises(ValueError, match="shape"):
-            hankel_operator(h).apply(np.ones(4))
+        op = hankel_operator(HankelVector(3, np.ones(5)))
+        for apply in (op.apply, op.apply_adjoint):
+            with pytest.raises(ValueError, match="shape"):
+                apply(np.ones(4))
+
+    def test_applies_leave_input_and_earlier_results_alone(self):
+        # each apply works in place, but only in an array of its own
+        rng = np.random.default_rng(3)
+        op = hankel_operator(random_hankel(9, rng))
+        v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        before = v.copy()
+        first = op.apply(v)
+        kept = first.copy()
+        later = [op.apply_adjoint(v), op.apply(v), op.apply_adjoint(first)]
+        assert np.array_equal(v, before)
+        assert np.array_equal(first, kept)
+        for result in later:
+            assert not np.shares_memory(first, result)
+        assert not np.shares_memory(later[0], later[2])
 
 
 class TestAntidiagSums:

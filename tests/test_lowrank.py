@@ -8,7 +8,7 @@ from lrhankel import (
     SvdConvergenceError,
     project_rank,
 )
-from lrhankel.lowrank import DENSE_THRESHOLD, lowrank_dense
+from lrhankel.lowrank import DENSE_THRESHOLD, LanczosRows, lowrank_dense
 
 
 def dense_operator(A, materialize=True):
@@ -38,6 +38,20 @@ def random_spectrum_matrix(n, rng, decay=0.75):
     V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     s = decay ** np.arange(n) * 10.0
     return (U * s) @ V.conj().T
+
+
+def small_gap_operator(n, r, applies):
+    """Diagonal operator with sigma_r / sigma_(r+1) = 1.001 and its tail crowding
+    just below sigma_(r+1); every apply appends to `applies`. Returns (op, sigma)."""
+    tail = 3.0 / 1.001 * (1.0 - 0.9 * np.linspace(0.0, 1.0, n - r) ** 3)
+    s = np.concatenate([np.linspace(10.0, 3.0, r), tail])
+    d = s * np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=n))
+    op = LinearOperator(
+        n,
+        apply=lambda v: applies.append(1) or d * v,
+        apply_adjoint=lambda v: applies.append(1) or np.conj(d) * v,
+    )
+    return op, s
 
 
 class TestFactors:
@@ -214,15 +228,8 @@ class TestTruncatedSvd:
         # sigma_8 / sigma_9 = 1.001 with the tail crowding just below sigma_9:
         # the leading triplets need more than 10 * rank + 50 Lanczos steps
         n, r = 400, 8
-        tail = 3.0 / 1.001 * (1.0 - 0.9 * np.linspace(0.0, 1.0, n - r) ** 3)
-        s = np.concatenate([np.linspace(10.0, 3.0, r), tail])
-        d = s * np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=n))
         applies = []
-        op = LinearOperator(
-            n,
-            apply=lambda v: applies.append(1) or d * v,
-            apply_adjoint=lambda v: applies.append(1) or np.conj(d) * v,
-        )
+        op, s = small_gap_operator(n, r, applies)
         f = project_rank(op, r, seed=0)
         assert len(applies) > 2 * (10 * r + 50)
         assert np.all(np.abs(f.sigma - s[:r]) <= 1e-9 * s[:r])
@@ -230,6 +237,29 @@ class TestTruncatedSvd:
         # the verified residual over the gap at the cut
         bound = 10 * 1e-10 * s[0] / (s[r - 1] - s[r])
         assert np.linalg.norm(f.U[r:]) <= bound and np.linalg.norm(f.V[r:]) <= bound
+
+    def test_shared_rows_give_the_bits_of_fresh_buffers(self):
+        # one LanczosRows serves projections of different n and rank, as it
+        # would the projections of a solve; the small-gap operator grows it
+        # past its first 4 * max(r, 8) rows, and the later, smaller
+        # projections run in rows a larger one has filled
+        rng = np.random.default_rng(17)
+        applies = []
+        cases = [
+            (dense_operator(random_spectrum_matrix(60, rng), materialize=False), 3),
+            (small_gap_operator(400, 8, applies)[0], 8),
+            (dense_operator(random_spectrum_matrix(400, rng), materialize=False), 5),
+            (dense_operator(random_spectrum_matrix(90, rng), materialize=False), 2),
+            (dense_operator(random_spectrum_matrix(60, rng), materialize=False), 3),
+        ]
+        rows = LanczosRows()
+        shared = [project_rank(op, rank, seed=1, rows=rows) for op, rank in cases]
+        assert len(applies) > 2 * 4 * 8
+        for f, (op, rank) in zip(shared, cases):
+            fresh = project_rank(op, rank, seed=1)
+            assert f.rank == fresh.rank
+            for a, b in ((f.U, fresh.U), (f.sigma, fresh.sigma), (f.V, fresh.V)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestProjectRank:

@@ -267,6 +267,25 @@ class TestBlendOperator:
             assert np.linalg.norm(op.apply_adjoint(v) - dense.conj().T @ v) <= scale
 
 
+    def test_applies_leave_input_and_earlier_results_alone(self):
+        # the blend accumulates in the Hankel product's array, never in v
+        rng = np.random.default_rng(4)
+        n = 40
+        h = HankelVector(n, rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1))
+        U, s, Vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        op = blend_operator(LowRankFactors(n, U[:, :3], s[:3], Vh[:3].conj().T), h, 0.3)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        before = v.copy()
+        first = op.apply(v)
+        kept = first.copy()
+        later = [op.apply_adjoint(v), op.apply(v), op.apply_adjoint(first)]
+        assert np.array_equal(v, before)
+        assert np.array_equal(first, kept)
+        for result in later:
+            assert not np.shares_memory(first, result)
+        assert not np.shares_memory(later[0], later[2])
+
+
 class TestBound:
     def test_clamp_limits_unobserved_magnitudes(self):
         inst = make_instance(10, 2, 6, seed=5)
@@ -381,11 +400,14 @@ class TestSolve:
         assert np.allclose(result.objective_history, objs_ref, rtol=1e-8, atol=1e-10 * scale**2)
 
     def test_concurrent_solves_match_sequential(self):
-        # solves share no mutable state, so racing them changes nothing
+        # solves share no mutable state, so racing them changes nothing; at
+        # n=16 every projection is a dense SVD, at n=64 and rank 2 every one
+        # runs Lanczos in the row buffers its solve holds
         from concurrent.futures import ThreadPoolExecutor
 
-        instances = [make_instance(16, 2, 14, seed=s) for s in range(6)]
-        cfgs = [SolverConfig(rank=2, max_iter=100, svd_seed=s) for s in range(6)]
+        instances = [make_instance(16, 2, 14, seed=s) for s in range(4)]
+        instances += [make_instance(64, 2, 40, seed=s) for s in range(4)]
+        cfgs = [SolverConfig(rank=2, max_iter=100, svd_seed=s, accelerated=s % 2 == 1) for s in range(8)]
         sequential = [solve(i.obs, c).z_hat for i, c in zip(instances, cfgs)]
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(lambda ic: solve(ic[0].obs, ic[1]).z_hat,
