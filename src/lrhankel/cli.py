@@ -1,8 +1,11 @@
 """Command-line harness: solve, phase, bench, compare, synth.
 
-Flags override config-file keys, which override defaults. Exit codes:
+Flags override config-file keys, which override defaults. A setting's
+static bound sits on its `_SETTINGS` row, and `main` checks every value a
+subcommand reads before the subcommand runs; the subcommand checks the
+bounds set by n before it reads or synthesizes anything. Exit codes:
 0 success, 1 usage error, 2 input error, 3 non-convergence under --strict,
-4 numerical failure.
+4 numerical failure. Any other exception is a bug and keeps its traceback.
 
 A subcommand returns its tables by file name and, if a solve did not
 converge, the message that --strict exits with. `main` creates --out only
@@ -63,21 +66,33 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _parse_case(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected n,rank,samples, got {text!r}")
-    return tuple(int(p) for p in parts)
+    try:
+        n, rank, samples = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n,rank,samples, got {text!r}") from None
+    return n, rank, samples
+
+
+# a setting's static bound: a predicate and the text a usage error prints after the flag
+_AT_LEAST_0 = (lambda v: v >= 0, "must be at least 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "must be at least 2")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "must lie strictly in (0, 1)")
 
 
 class Setting(NamedTuple):
@@ -95,6 +110,16 @@ class Setting(NamedTuple):
     config: bool = True
     action: str = "store"
     metavar: Optional[str] = None
+    valid: Optional[tuple[Callable, str]] = None
+
+    @property
+    def option(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def check(self, value, label: str) -> None:
+        """Reject a value outside the static bound; `label` names it in the message."""
+        if value is not None and self.valid is not None and not self.valid[0](value):
+            raise UsageError(f"{label} {self.valid[1]}, got {value}")
 
 
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
@@ -108,23 +133,25 @@ _SETTINGS = {
     s.key: s
     for s in (
         Setting("n", int, None, "Hankel dimension n; the signal has length 2n-1",
-                ("solve", "synth", "phase", "compare")),
+                ("solve", "synth", "phase", "compare"), valid=_AT_LEAST_2),
         Setting("rank", int, None, "number of sinusoids to fit", _INSTANCE),
         Setting("samples", int, None, "number of observed entries", _INSTANCE),
-        Setting("seed", int, 0, "master seed (default {default})"),
+        Setting("seed", int, 0, "master seed (default {default})", valid=_AT_LEAST_0),
         Setting("delta1", float, _SOLVER_DEFAULTS["delta1"], "rank-step size in (0,1), default {default}",
-                _SOLVERS),
+                _SOLVERS, valid=_OPEN_UNIT),
         Setting("delta2", float, _SOLVER_DEFAULTS["delta2"], "data-step size in (0,1), default {default}",
-                _SOLVERS),
+                _SOLVERS, valid=_OPEN_UNIT),
         Setting("tol", float, _SOLVER_DEFAULTS["tol"], "relative-change stopping tolerance, default {default}",
-                _SOLVERS),
-        Setting("max_iter", int, _SOLVER_DEFAULTS["max_iter"], "iteration cap, default {default}", _SOLVERS),
+                _SOLVERS, valid=_POSITIVE),
+        Setting("max_iter", int, _SOLVER_DEFAULTS["max_iter"], "iteration cap, default {default}",
+                _SOLVERS, valid=_AT_LEAST_1),
         # compare runs both variants, so it has no use for the flag
         Setting("accelerated", _parse_bool, _SOLVER_DEFAULTS["accelerated"],
                 "use the momentum-accelerated iteration", ("solve", "phase", "bench"), action="store_true"),
-        Setting("bound", float, _SOLVER_DEFAULTS["bound"], "magnitude clamp for unobserved entries", _SOLVERS),
+        Setting("bound", float, _SOLVER_DEFAULTS["bound"], "magnitude clamp for unobserved entries", _SOLVERS,
+                valid=_POSITIVE),
         Setting("threads", int, None, "worker processes for Monte Carlo trials (default: every CPU)",
-                ("phase",)),
+                ("phase",), valid=_AT_LEAST_1),
         Setting("out", str, ".", "output directory (default current)"),
         Setting("config", str, None, "flat key=value config file", config=False),
         Setting("strict", _parse_bool, False, "exit with code 3 when the solver does not converge",
@@ -134,10 +161,12 @@ _SETTINGS = {
                 ("solve",), config=False),
         Setting("rank_values", _parse_int_list, None, "comma-separated sparsity values", ("phase",)),
         Setting("samples_values", _parse_int_list, None, "comma-separated sample counts", ("phase",)),
-        Setting("trials", int, 100, "Monte Carlo trials per cell (default {default})", ("phase",)),
+        Setting("trials", int, 100, "Monte Carlo trials per cell (default {default})", ("phase",),
+                valid=_AT_LEAST_1),
         Setting("case", _parse_case, ((51, 1, 10), (51, 3, 20), (101, 5, 40)), "instance shape; repeatable",
                 ("bench",), config=False, action="append", metavar="N,RANK,SAMPLES"),
-        Setting("repeats", int, 3, "timing repetitions, reported as the minimum", ("bench",)),
+        Setting("repeats", int, 3, "timing repetitions, reported as the minimum", ("bench",),
+                valid=_AT_LEAST_1),
     )
 }
 
@@ -158,17 +187,16 @@ def build_parser() -> Parser:
         for s in _SETTINGS.values():
             if command not in s.commands:
                 continue
-            flag = "--" + s.key.replace("_", "-")
             text = s.help.format(default=_show(s.default))
             if s.action == "store_true":
-                p.add_argument(flag, action="store_true", default=None, help=text)
+                p.add_argument(s.option, action="store_true", default=None, help=text)
             else:
-                p.add_argument(flag, action=s.action, type=s.convert, metavar=s.metavar, help=text)
+                p.add_argument(s.option, action=s.action, type=s.convert, metavar=s.metavar, help=text)
     return parser
 
 
 class Settings:
-    """Flag > config file > default resolution for every known key."""
+    """Flag > config file > default resolution for every known key, checked against its bound."""
 
     def __init__(self, args: argparse.Namespace, config: dict[str, object]):
         self._args = args
@@ -178,15 +206,16 @@ class Settings:
         return getattr(self._args, key, None)
 
     def get(self, key: str):
-        flag = self.flag(key)
-        if flag is not None:
-            return flag
-        return self._config.get(key, _SETTINGS[key].default)
+        setting, value = _SETTINGS[key], self.flag(key)
+        if value is None:
+            value = self._config.get(key, setting.default)
+        setting.check(value, setting.option)
+        return value
 
     def require(self, key: str):
         value = self.get(key)
         if value is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required for this command")
+            raise UsageError(f"{_SETTINGS[key].option} is required for this command")
         return value
 
 
@@ -194,24 +223,15 @@ def _solver_config(settings: Settings, rank: int, svd_seed: int) -> SolverConfig
     return SolverConfig(rank=rank, svd_seed=svd_seed, **{key: settings.get(key) for key in _SOLVER_KEYS})
 
 
-def _check_n(n: int, flag: str) -> None:
-    """Reject an n below 2 (a signal shorter than 3) before anything is synthesized or written."""
-    if n < 2:
-        raise UsageError(f"{flag} must be at least 2, got {n}")
-
-
-def _check_range(value: int, top: int | None, flag: str, where: str = "") -> None:
-    """Reject a count outside [1, top], or below 1 if top is None, before anything is synthesized or written."""
-    if top is None and value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
-    if top is not None and not 1 <= value <= top:
+def _check_range(value: int, top: int, flag: str, where: str) -> None:
+    """Reject a count outside [1, top], a bound set by n, before anything is synthesized or written."""
+    if not 1 <= value <= top:
         raise UsageError(f"{flag} must lie in [1, {top}] for {where}, got {value}")
 
 
 def _n_and_rank(settings: Settings, deficient: bool) -> tuple[int, int]:
-    """--n, at least 2, and --rank, in [1, n - 1] if the Hankel matrix must be `deficient`, else [1, n]."""
+    """--n and --rank, in [1, n - 1] if the Hankel matrix must be `deficient`, else [1, n]."""
     n = settings.require("n")
-    _check_n(n, "--n")
     rank = settings.require("rank")
     _check_range(rank, n - 1 if deficient else n, "--rank", f"--n {n}")
     return n, rank
@@ -247,9 +267,7 @@ def cmd_solve(settings: Settings) -> Outcome:
         if signal_file is not None:
             x_true = read_signal_file(signal_file)
             if len(x_true) != 2 * n - 1:
-                raise InputFileError(
-                    f"{signal_file}: signal length {len(x_true)} does not match n={n}"
-                )
+                raise InputFileError(f"{signal_file}: signal length {len(x_true)} does not match n={n}")
             if not np.any(x_true):
                 raise InputFileError(f"{signal_file}: signal is zero, so its relative error is undefined")
     else:
@@ -298,34 +316,22 @@ def cmd_synth(settings: Settings) -> Outcome:
 
 def cmd_phase(settings: Settings) -> Outcome:
     n = settings.require("n")
-    _check_n(n, "--n")
     rank_values, sample_values = settings.require("rank_values"), settings.require("samples_values")
     for rank in rank_values:
         _check_range(rank, n, "--rank-values", f"--n {n}")
     for samples in sample_values:
         _check_range(samples, 2 * n - 1, "--samples-values", f"--n {n}")
-    trials = settings.get("trials")
-    _check_range(trials, None, "--trials")
     grid = ExperimentGrid(
         n=n,
         rank_values=rank_values,
         sample_values=sample_values,
-        trials=trials,
+        trials=settings.get("trials"),
         master_seed=settings.get("seed"),
         solver=_solver_config(settings, rank=1, svd_seed=0),
     )
-    workers = settings.get("threads")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    _check_range(workers, None, "--threads")
+    workers = settings.get("threads") or os.cpu_count() or 1
     rows = [
-        [
-            fmt_int(c.rank),
-            fmt_int(c.samples),
-            fmt_int(c.trials),
-            fmt_int(c.successes),
-            fmt_float(c.success_rate),
-        ]
+        [*map(fmt_int, (c.rank, c.samples, c.trials, c.successes)), fmt_float(c.success_rate)]
         for c in run_phase(grid, workers=workers)
     ]
     return {"phase.csv": (["rank", "samples", "trials", "successes", "success_rate"], rows)}, None
@@ -333,21 +339,14 @@ def cmd_phase(settings: Settings) -> Outcome:
 
 def cmd_bench(settings: Settings) -> Outcome:
     cases = settings.get("case")
-    _check_range(settings.get("repeats"), None, "--repeats")
     for n, rank, samples in cases:
         where = f"--case {n},{rank},{samples}"
-        _check_n(n, f"n of {where}")
+        _SETTINGS["n"].check(n, f"n of {where}")
         _check_range(rank, n, "--case rank", where)
         _check_range(samples, 2 * n - 1, "--case samples", where)
     rows = [
-        [
-            fmt_int(r.n),
-            fmt_int(r.rank),
-            fmt_int(r.samples),
-            fmt_float(r.elapsed_seconds),
-            fmt_int(r.iterations),
-            fmt_int(r.factor_bytes),
-        ]
+        [*map(fmt_int, (r.n, r.rank, r.samples)), fmt_float(r.elapsed_seconds),
+         fmt_int(r.iterations), fmt_int(r.factor_bytes)]
         for r in run_bench(
             cases,
             _solver_config(settings, rank=1, svd_seed=0),
@@ -397,7 +396,7 @@ def _load_config(args: argparse.Namespace) -> dict[str, object]:
     for key, text in config.items():
         try:
             values[key] = _SETTINGS[key].convert(text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise InputFileError(f"{args.config}: key {key}: {exc}") from None
     return values
 
@@ -417,6 +416,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         command, _ = _COMMANDS[args.command]
         settings = Settings(args, _load_config(args))
+        for key, s in _SETTINGS.items():
+            if args.command in s.commands:
+                settings.get(key)
         tables, unconverged = command(settings)
         out_dir = settings.get("out")
         os.makedirs(out_dir, exist_ok=True)
@@ -428,13 +430,9 @@ def main(argv=None) -> int:
     except (InputFileError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    # LinAlgError subclasses ValueError, so it must be caught first
     except (SvdConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     if unconverged is not None and settings.get("strict"):
         print(unconverged, file=sys.stderr)
         return 3

@@ -41,10 +41,11 @@ class ExperimentGrid:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.rank_values or not self.sample_values:
             raise ValueError("rank_values and sample_values must be nonempty")
-        if any(r > self.n or r < 1 for r in self.rank_values):
-            raise ValueError(f"rank values must lie in [1, {self.n}]")
-        if any(m > 2 * self.n - 1 or m < 1 for m in self.sample_values):
-            raise ValueError(f"sample counts must lie in [1, {2 * self.n - 1}]")
+        for name, values, top in (("rank values", self.rank_values, self.n),
+                                  ("sample counts", self.sample_values, 2 * self.n - 1)):
+            for value in values:
+                if not 1 <= value <= top:
+                    raise ValueError(f"{name} must lie in [1, {top}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,7 @@ def run_bench(
             start = time.perf_counter()
             result = solve(inst.obs, run_cfg)
             best = min(best, time.perf_counter() - start)
+        # the O(n r) footprint of LowRankFactors: complex U and V, real sigma
         factor_bytes = 2 * n * rank * 16 + rank * 8
         rows.append(BenchRow(n, rank, samples, best, result.iterations, factor_bytes))
     return rows

@@ -110,9 +110,6 @@ class LowRankFactors:
     def frobenius_sq(self) -> float:
         return float(np.sum(self.sigma**2))
 
-    def storage_nbytes(self) -> int:
-        return self.U.nbytes + self.sigma.nbytes + self.V.nbytes
-
 
 @dataclass(frozen=True)
 class LinearOperator:

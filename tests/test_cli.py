@@ -185,16 +185,27 @@ class TestUsage:
         (("phase", "--n", 8, "--rank-values", 1, "--samples-values", 8, "--trials", 0),
          "--trials must be at least 1, got 0"),
         (("bench", "--case", "8,1,5", "--repeats", 0), "--repeats must be at least 1, got 0"),
+        (("synth", "--n", 8, "--rank", 1, "--samples", 5, "--seed", -1), "--seed must be at least 0, got -1"),
+        (("solve", "--n", 8, "--rank", 1, "--samples", 5, "--delta1", 1.5),
+         "--delta1 must lie strictly in (0, 1), got 1.5"),
+        (("phase", "--n", 8, "--rank-values", 1, "--samples-values", 8, "--delta2", 0),
+         "--delta2 must lie strictly in (0, 1), got 0.0"),
+        (("bench", "--case", "8,1,5", "--tol", 0), "--tol must be positive, got 0.0"),
+        (("compare", "--n", 8, "--rank", 1, "--samples", 5, "--max-iter", 0),
+         "--max-iter must be at least 1, got 0"),
+        (("solve", "--n", 8, "--rank", 1, "--samples", 5, "--bound", -1),
+         "--bound must be positive, got -1.0"),
     ], ids=["synth-rank-n", "synth-rank-n+1", "compare", "bench", "bench-second-case",
             "solve-n-1", "synth-n-1", "compare-n-0", "phase-n-1", "bench-n-1",
             "solve-samples", "synth-samples-0", "compare-samples", "bench-samples",
             "phase-rank-values", "phase-rank-values-0", "phase-samples-values", "phase-trials",
-            "bench-repeats"])
+            "bench-repeats", "synth-seed", "solve-delta1", "phase-delta2", "bench-tol", "compare-max-iter",
+            "solve-bound"])
     def test_rank_outside_bounds_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("synthesized before the rank check")
 
-        for name in ("make_instance", "run_bench", "run_compare", "run_phase"):
+        for name in ("make_instance", "run_bench", "run_compare", "run_phase", "solve"):
             monkeypatch.setattr(cli, name, refuse)
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 1
@@ -258,6 +269,30 @@ class TestUsage:
         assert capsys.readouterr().err.startswith(f"usage error: --threads must be at least 1, got {threads}")
         assert not (out / "phase.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bench", "--case", "8,1"), "argument --case: expected n,rank,samples, got '8,1'"),
+        (("bench", "--case", "8,x,5"), "argument --case: expected n,rank,samples, got '8,x,5'"),
+        (("phase", "--n", 8, "--rank-values", "a,b", "--samples-values", 8),
+         "argument --rank-values: expected comma-separated integers, got 'a,b'"),
+        (("phase", "--n", 8, "--rank-values", 1, "--samples-values", ","),
+         "argument --samples-values: expected comma-separated integers, got ','"),
+    ], ids=["case-two-fields", "case-not-int", "rank-values-not-int", "samples-values-empty"])
+    def test_converter_message_is_its_own(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken_solve(obs, config):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            run("solve", "--n", 8, "--rank", 1, "--samples", 10, "--out", out)
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_config_supplies_missing_flags(self, tmp_path):
@@ -282,8 +317,12 @@ class TestConfigPrecedence:
         ("max_iter=abc", 2, "input error: {cfg}: key max_iter: "),
         ("accelerated=maybe", 2, "input error: {cfg}: key accelerated: "),
         ("delta1=x", 2, "input error: {cfg}: key delta1: "),
-        # a value that parses but is out of range is a usage error
-        ("tol=-1", 1, "usage error: tol must be positive"),
+        ("rank_values=,", 2, "input error: {cfg}: key rank_values: expected comma-separated integers"),
+        # a value that parses but is out of range is a usage error that names its flag
+        pytest.param("tol=-1", 1, "usage error: --tol must be positive, got -1.0",
+                     id="tol=-1-1-usage error: tol must be positive"),
+        ("seed=-1", 1, "usage error: --seed must be at least 0, got -1"),
+        ("delta1=1.5", 1, "usage error: --delta1 must lie strictly in (0, 1), got 1.5"),
     ])
     def test_bad_config_value_before_any_output(self, tmp_path, capsys, line, code, message):
         cfg = tmp_path / "run.cfg"

@@ -52,9 +52,12 @@ class TestGrid:
             small_grid(sample_values=(40,))
         with pytest.raises(ValueError, match="nonempty"):
             small_grid(rank_values=())
-        for ranks in ((0,), (1, 17)):
-            with pytest.raises(ValueError, match="rank values"):
+        for ranks, bad in (((0,), 0), ((1, 17), 17)):
+            with pytest.raises(ValueError, match=rf"rank values must lie in \[1, 16\], got {bad}$"):
                 small_grid(rank_values=ranks)
+        for samples, bad in (((0,), 0), ((8, 40), 40)):
+            with pytest.raises(ValueError, match=rf"sample counts must lie in \[1, 31\], got {bad}$"):
+                small_grid(sample_values=samples)
 
     def test_phase_cell_rate(self):
         assert PhaseCell(1, 10, 20, 13).success_rate == 0.65
