@@ -42,11 +42,10 @@ from .solver import (
     IterateState,
     RecoveryResult,
     SolverConfig,
-    fista_step,
     init_state,
     objective,
-    pgd_step,
     solve,
+    step,
 )
 
 __version__ = "0.1.0"
@@ -68,20 +67,19 @@ __all__ = [
     "antidiag_weights",
     "dense_threshold",
     "extract_frequencies",
-    "fista_step",
     "hankel_dense",
     "hankel_frobenius_sq",
     "hankel_operator",
     "init_state",
     "make_instance",
     "objective",
-    "pgd_step",
     "project_hankel_blend",
     "project_rank",
     "random_model",
     "random_observations",
     "relative_error",
     "solve",
+    "step",
     "synthesize",
     "__version__",
 ]

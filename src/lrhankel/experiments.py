@@ -114,6 +114,8 @@ def run_phase(grid: ExperimentGrid, workers: int = 1) -> list[PhaseCell]:
         for samples in grid.sample_values
         for t in range(grid.trials)
     ]
+    # a forked pool starts all its workers at the first submit, used or not
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_phase_task, tasks, chunksize=1))

@@ -62,7 +62,13 @@ class ObservationSet:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"Hankel dimension must be at least 2, got {self.n}")
-        idx = np.array(self.indices, dtype=np.int64, copy=True).reshape(-1)
+        raw = np.asarray(self.indices).reshape(-1)
+        if raw.size and raw.dtype.kind not in "iuf":
+            raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
+        with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the check below
+            idx = raw.astype(np.int64)
+        if not np.array_equal(idx, raw):
+            raise ValueError(f"indices must be integers, got {raw[idx != raw][0]}")
         vals = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
         if idx.shape != vals.shape:
             raise ValueError(

@@ -8,16 +8,18 @@ the other and projects back:
     H_{t+1} = P_data( (1-delta2) H_t + delta2 L_{t+1} )
 
 Both projections run matrix-free: L lives as factors, H as its parameter
-vector. The accelerated variant takes both half-steps from an extrapolated
-Hankel iterate with the classic momentum schedule
-k_{t+1} = (sqrt(1 + 4 k_t^2) + 1) / 2, and the solve loop resets the
-momentum whenever the objective rises (adaptive restart). Every iterate
-stays feasible, because the data-consistent set is affine and extrapolation
-along it cannot leave it.
+vector. Both variants run the same `step`, which takes the half-steps from
+a Hankel iterate z_tilde. The accelerated variant extrapolates z_tilde with
+the classic momentum schedule k_{t+1} = (sqrt(1 + 4 k_t^2) + 1) / 2, and
+`step` itself resets the momentum whenever the objective rises (adaptive
+restart). The plain iteration is the same step without extrapolation:
+z_tilde is always the current iterate. Every iterate stays feasible,
+because the data-consistent set is affine and extrapolation along it
+cannot leave it.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from . import hankel
 from .hankel import (
     HankelVector,
     ObservationSet,
-    antidiag_weights,
     hankel_dense,
     hankel_frobenius_sq,
     hankel_operator,
@@ -79,10 +80,10 @@ class IterateState:
     """State after t iterations; all fields are feasible by construction."""
 
     factors: LowRankFactors
-    sums: np.ndarray  # anti-diagonal sums of factors, one pass per rank projection
     z: HankelVector
-    z_tilde: HankelVector
+    z_tilde: HankelVector  # where the next step starts; z itself unless extrapolated
     momentum: float
+    objective: float  # at (factors, z); the next step restarts the momentum if it rises
     t: int
 
 
@@ -158,89 +159,70 @@ def _clamped(h: HankelVector, bound: float, obs: ObservationSet) -> HankelVector
 def init_state(obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None) -> IterateState:
     """Feasible start: zero-fill the unobserved coordinates, then rank-project.
 
-    `rows`, here and in the steps, lends the rank projection its Lanczos
+    `rows`, here and in `step`, lends the rank projection its Lanczos
     buffers; solve passes one LanczosRows to every projection it makes.
     """
     z0 = np.zeros(2 * obs.n - 1, dtype=np.complex128)
     z0[obs.indices] = obs.values
     h0 = HankelVector(obs.n, z0)
     f0 = project_rank(hankel_operator(h0), cfg.rank, seed=cfg.svd_seed, rows=rows)
-    sums = hankel.antidiag_sums_lowrank(f0)
-    return IterateState(factors=f0, sums=sums, z=h0, z_tilde=h0, momentum=1.0, t=0)
+    value = objective(f0, h0, hankel.antidiag_sums_lowrank(f0))
+    return IterateState(factors=f0, z=h0, z_tilde=h0, momentum=1.0, objective=value, t=0)
 
 
-def _half_steps(
-    f: LowRankFactors, centre: HankelVector, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None
-):
-    """New factors toward H(centre), their anti-diagonal sums, and the data step from centre."""
-    f1 = project_rank(blend_operator(f, centre, cfg.delta1), cfg.rank, seed=cfg.svd_seed, rows=rows)
+def step(
+    state: IterateState, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None
+) -> IterateState:
+    """One iteration, plain or accelerated.
+
+    Both half-steps start from z_tilde: the rank projection pulls toward
+    H(z_tilde), and the data projection starts at z_tilde as well.
+    Centering the data step at z instead (keeping z_tilde only in its
+    gradient) injects the momentum term with a negative sign and
+    empirically diverges once the momentum coefficient grows, so that
+    variant is not used. On the plain path, and on a restart when the
+    objective rose (without which the momentum recursion oscillates and can
+    diverge on this nonconvex problem), z_tilde is the new z and the
+    momentum is 1. Extrapolation keeps observed coordinates exact; when a
+    magnitude bound is active it is applied after the extrapolation too.
+    """
+    f1 = project_rank(blend_operator(state.factors, state.z_tilde, cfg.delta1), cfg.rank, seed=cfg.svd_seed, rows=rows)
     sums = hankel.antidiag_sums_lowrank(f1)
-    z1 = project_hankel_blend(centre, sums, cfg.delta2, obs)
+    z1 = project_hankel_blend(state.z_tilde, sums, cfg.delta2, obs)
     if cfg.bound is not None:
         z1 = _clamped(z1, cfg.bound, obs)
-    return f1, sums, z1
-
-
-def pgd_step(
-    state: IterateState, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None
-) -> IterateState:
-    """One plain descent iteration."""
-    f1, sums, z1 = _half_steps(state.factors, state.z, obs, cfg, rows)
-    return IterateState(factors=f1, sums=sums, z=z1, z_tilde=z1, momentum=1.0, t=state.t + 1)
-
-
-def fista_step(
-    state: IterateState, obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None
-) -> IterateState:
-    """One accelerated iteration.
-
-    Both half-steps are taken from the extrapolated iterate z_tilde: the
-    rank projection pulls toward H(z_tilde), and the data projection starts
-    at z_tilde as well. Centering the data step at z instead (keeping
-    z_tilde only in its gradient) injects the momentum term with a negative
-    sign and empirically diverges once the momentum coefficient grows, so
-    that variant is not used. With momentum frozen at 1 the step reduces to
-    pgd_step exactly. Extrapolation keeps observed coordinates exact; when
-    a magnitude bound is active it is applied after the extrapolation too.
-    """
-    f1, sums, z1 = _half_steps(state.factors, state.z_tilde, obs, cfg, rows)
+    current = objective(f1, z1, sums)
+    if not cfg.accelerated or current > state.objective:
+        return IterateState(factors=f1, z=z1, z_tilde=z1, momentum=1.0, objective=current, t=state.t + 1)
     k_next = (math.sqrt(1.0 + 4.0 * state.momentum**2) + 1.0) / 2.0
     coeff = (state.momentum - 1.0) / k_next
     z_tilde = HankelVector(obs.n, z1.values + coeff * (z1.values - state.z.values))
     if cfg.bound is not None:
         z_tilde = _clamped(z_tilde, cfg.bound, obs)
-    return IterateState(factors=f1, sums=sums, z=z1, z_tilde=z_tilde, momentum=k_next, t=state.t + 1)
+    return IterateState(factors=f1, z=z1, z_tilde=z_tilde, momentum=k_next, objective=current, t=state.t + 1)
 
 
 def solve(obs: ObservationSet, cfg: SolverConfig) -> RecoveryResult:
-    """Run the configured iteration until the stopping rule or max_iter.
+    """Run `step` until the stopping rule or max_iter.
 
     Stops when the weighted relative change of the Hankel iterate, which
     equals ||H_{t+1} - H_t||_F / ||H_t||_F of the dense matrices, drops to
     `tol`. A zero-norm iterate counts as converged only when the update is
-    exactly zero too. On the accelerated path the momentum is restarted
-    (k reset to 1, extrapolation collapsed onto the current iterate)
-    whenever the objective increases; without this safeguard the momentum
-    recursion oscillates and can diverge on this nonconvex problem. The
-    solve holds one set of Lanczos row buffers for all its projections.
+    exactly zero too. The solve holds one set of Lanczos row buffers for
+    all its projections.
     """
-    weights = antidiag_weights(obs.n)
-    step = fista_step if cfg.accelerated else pgd_step
     rows = LanczosRows()
     state = init_state(obs, cfg, rows)
-    objective_history = [objective(state.factors, state.z, state.sums)]
+    objective_history = [state.objective]
     relchange_history = []
     converged = False
 
     for _ in range(cfg.max_iter):
-        previous = state.z.values
+        previous = state.z
         state = step(state, obs, cfg, rows)
-        current = objective(state.factors, state.z, state.sums)
-        if cfg.accelerated and current > objective_history[-1]:
-            state = replace(state, momentum=1.0, z_tilde=state.z)
-        objective_history.append(current)
-        num = math.sqrt(float(np.sum(weights * np.abs(state.z.values - previous) ** 2)))
-        den = math.sqrt(float(np.sum(weights * np.abs(previous) ** 2)))
+        objective_history.append(state.objective)
+        num = math.sqrt(hankel_frobenius_sq(HankelVector(obs.n, state.z.values - previous.values)))
+        den = math.sqrt(hankel_frobenius_sq(previous))
         if den > 0.0:
             rel = num / den
         else:

@@ -18,9 +18,9 @@ from lrhankel import (
     extract_frequencies,
     init_state,
     make_instance,
-    pgd_step,
     project_rank,
     solve,
+    step,
     synthesize,
 )
 from lrhankel.cli import main
@@ -110,7 +110,7 @@ def test_factored_iterates_match_dense_reference(lanczos_only):
             scale = max(np.linalg.norm(inst.x_true), 1.0)
             for _ in range(20):
                 ref = dense_pgd_step(ref, inst.obs, cfg)
-                state = pgd_step(state, inst.obs, cfg)
+                state = step(state, inst.obs, cfg)
                 assert np.linalg.norm(state.z.values - ref.z) <= 1e-8 * scale
                 factored = (
                     (state.factors.U * state.factors.sigma) @ state.factors.V.conj().T

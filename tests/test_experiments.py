@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrhankel import SolverConfig
+from lrhankel import SolverConfig, experiments
 from lrhankel.experiments import (
     SUCCESS_THRESHOLD,
     ExperimentGrid,
@@ -89,6 +89,31 @@ class TestPhase:
         sequential = run_phase(grid, workers=1)
         parallel = run_phase(grid, workers=4)
         assert sequential == parallel
+
+    def test_pool_never_outnumbers_the_trials(self, monkeypatch):
+        # a forked pool starts every worker it is given at the first submit;
+        # the fake records its size and maps in-process, starting none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        grid = small_grid(rank_values=(1,), sample_values=(31,), trials=3)
+        assert run_phase(grid, workers=64) == run_phase(grid, workers=1)
+        assert sizes == [3]
+        run_phase(small_grid(rank_values=(1,), sample_values=(31,), trials=1), workers=64)
+        assert sizes == [3]  # a single trial runs in-process, with no pool
 
     def test_monotone_in_samples_for_each_rank(self):
         # statistical form: with >= 20 trials the largest-sample column never

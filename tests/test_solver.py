@@ -10,14 +10,13 @@ from lrhankel import (
     SolverConfig,
     SpectralModel,
     antidiag_sums_lowrank,
-    fista_step,
     hankel_dense,
     init_state,
     make_instance,
     objective,
-    pgd_step,
     relative_error,
     solve,
+    step,
     synthesize,
 )
 from lrhankel.lowrank import LowRankFactors, project_rank
@@ -80,7 +79,7 @@ class TestInit:
         x = synthesize(SpectralModel([0.2, 0.6], [1.0, 1.0 + 1.0j]), 15)
         state = init_state(full_observation(x), SolverConfig(rank=2))
         scale = np.linalg.norm(x) ** 2
-        assert objective(state.factors, state.z, state.sums) <= 1e-12 * scale
+        assert state.objective <= 1e-12 * scale
 
     def test_momentum_starts_at_one(self):
         state = init_state(ObservationSet(3, [1], [1.0]), SolverConfig(rank=1))
@@ -119,7 +118,7 @@ class TestSteps:
         obs = full_observation(x)
         cfg = SolverConfig(rank=1)
         state = init_state(obs, cfg)
-        after = pgd_step(state, obs, cfg)
+        after = step(state, obs, cfg)
         assert np.allclose(after.z.values, state.z.values, atol=1e-8)
         assert np.linalg.norm(densify(after.factors) - densify(state.factors)) <= 1e-8
 
@@ -127,8 +126,8 @@ class TestSteps:
         x = synthesize(SpectralModel([0.11], [1.0]), 7)
         obs = full_observation(x)
         cfg = SolverConfig(rank=1)
-        state = pgd_step(init_state(obs, cfg), obs, cfg)
-        assert objective(state.factors, state.z, state.sums) <= 1e-16
+        state = step(init_state(obs, cfg), obs, cfg)
+        assert state.objective <= 1e-16
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pgd_half_step_descent(self, seed):
@@ -142,10 +141,12 @@ class TestSteps:
         )
         state = init_state(inst.obs, cfg)
         for _ in range(5):
-            before = objective(state.factors, state.z, state.sums)
-            after = pgd_step(state, inst.obs, cfg)
-            mid = objective(after.factors, state.z, after.sums)
-            final = objective(after.factors, after.z, after.sums)
+            before = state.objective
+            after = step(state, inst.obs, cfg)
+            sums = antidiag_sums_lowrank(after.factors)
+            mid = objective(after.factors, state.z, sums)
+            final = objective(after.factors, after.z, sums)
+            assert after.objective == final
             slack = 1e-12 * max(before, 1.0)
             assert mid <= before + slack
             assert final <= mid + slack
@@ -156,16 +157,17 @@ class TestSteps:
         cfg = SolverConfig(rank=2, accelerated=True, svd_seed=3)
         state = init_state(inst.obs, cfg)
         for _ in range(10):
-            state = fista_step(state, inst.obs, cfg)
+            state = step(state, inst.obs, cfg)
             assert np.array_equal(state.z.values[inst.obs.indices], inst.obs.values)
             assert np.array_equal(state.z_tilde.values[inst.obs.indices], inst.obs.values)
             assert state.factors.rank <= 2
 
     @pytest.mark.parametrize("bound", [None, 1.5])
-    @pytest.mark.parametrize("step", [pgd_step, fista_step])
-    def test_feasibility_bit_exact_on_the_lanczos_path(self, step, bound, lanczos_only):
+    # the ids keep the names the plain and accelerated steps had before `step`
+    @pytest.mark.parametrize("accelerated", [False, True], ids=["pgd_step", "fista_step"])
+    def test_feasibility_bit_exact_on_the_lanczos_path(self, accelerated, bound, lanczos_only):
         inst = make_instance(40, 3, 30, seed=5)
-        cfg = SolverConfig(rank=3, accelerated=step is fista_step, bound=bound, svd_seed=5)
+        cfg = SolverConfig(rank=3, accelerated=accelerated, bound=bound, svd_seed=5)
         state = init_state(inst.obs, cfg)
         for _ in range(10):
             state = step(state, inst.obs, cfg)
@@ -180,9 +182,9 @@ class TestSteps:
         cfg = SolverConfig(rank=1, accelerated=True)
         state = init_state(inst.obs, cfg)
         golden = (math.sqrt(5.0) + 1.0) / 2.0
-        state = fista_step(state, inst.obs, cfg)
+        state = step(state, inst.obs, cfg)
         assert abs(state.momentum - golden) <= 1e-15
-        state = fista_step(state, inst.obs, cfg)
+        state = step(state, inst.obs, cfg)
         k2 = (math.sqrt(1.0 + 4.0 * golden**2) + 1.0) / 2.0
         assert abs(state.momentum - k2) <= 1e-15
         # frozen from a 50-digit Decimal evaluation of the recurrence
@@ -192,8 +194,8 @@ class TestSteps:
         inst = make_instance(9, 2, 8, seed=2)
         cfg = SolverConfig(rank=2, svd_seed=2)
         state = init_state(inst.obs, cfg)
-        plain = pgd_step(state, inst.obs, cfg)
-        accel = fista_step(state, inst.obs, cfg)
+        plain = step(state, inst.obs, cfg)
+        accel = step(state, inst.obs, dataclasses.replace(cfg, accelerated=True))
         assert np.array_equal(plain.z.values, accel.z.values)
         assert np.array_equal(accel.z_tilde.values, accel.z.values)
 
@@ -202,11 +204,38 @@ class TestSteps:
         cfg = SolverConfig(rank=2, svd_seed=4)
         state_p = init_state(inst.obs, cfg)
         state_f = init_state(inst.obs, cfg)
+        accel = dataclasses.replace(cfg, accelerated=True)
         for _ in range(6):
-            state_p = pgd_step(state_p, inst.obs, cfg)
-            state_f = fista_step(state_f, inst.obs, cfg)
+            state_p = step(state_p, inst.obs, cfg)
+            state_f = step(state_f, inst.obs, accel)
             state_f = dataclasses.replace(state_f, momentum=1.0)
             assert np.array_equal(state_p.z.values, state_f.z.values)
+
+    def test_accelerated_step_restarts_when_the_objective_rises(self):
+        inst = make_instance(12, 2, 10, seed=3)
+        cfg = SolverConfig(rank=2, accelerated=True, svd_seed=3)
+        state = init_state(inst.obs, cfg)
+        for _ in range(3):
+            state = step(state, inst.obs, cfg)
+        # from the true objective the step extrapolates; from a lower one,
+        # which any positive objective exceeds, it restarts
+        moved = step(dataclasses.replace(state, momentum=3.0), inst.obs, cfg)
+        assert moved.objective > 0.0 and moved.momentum > 1.0
+        assert not np.array_equal(moved.z_tilde.values, moved.z.values)
+        restarted = step(dataclasses.replace(state, objective=0.0, momentum=3.0), inst.obs, cfg)
+        assert restarted.momentum == 1.0
+        assert np.array_equal(restarted.z_tilde.values, restarted.z.values)
+        assert np.array_equal(restarted.z.values, moved.z.values)
+
+    @pytest.mark.parametrize("bound", [None, 1.5])
+    def test_plain_step_never_extrapolates(self, bound):
+        inst = make_instance(12, 2, 10, seed=3)
+        cfg = SolverConfig(rank=2, bound=bound, svd_seed=3)
+        state = init_state(inst.obs, cfg)
+        for _ in range(6):
+            state = step(dataclasses.replace(state, momentum=3.0), inst.obs, cfg)
+            assert state.momentum == 1.0
+            assert np.array_equal(state.z_tilde.values, state.z.values)
 
     def test_fista_fixed_point_at_consensus(self):
         x = synthesize(SpectralModel([0.4], [1.0]), 9)
@@ -214,7 +243,7 @@ class TestSteps:
         cfg = SolverConfig(rank=1, accelerated=True)
         state = init_state(obs, cfg)
         for _ in range(3):
-            state = fista_step(state, obs, cfg)
+            state = step(state, obs, cfg)
         assert np.allclose(state.z.values, x, atol=1e-8)
 
     @pytest.mark.parametrize("n, rank, samples, seed", [
@@ -229,7 +258,7 @@ class TestSteps:
         cfg = SolverConfig(rank=rank)
         state = init_state(inst.obs, cfg)
         for _ in range(5):
-            state = pgd_step(state, inst.obs, cfg)
+            state = step(state, inst.obs, cfg)
         op = blend_operator(state.factors, state.z, cfg.delta1)
 
         def refuse():
@@ -294,7 +323,7 @@ class TestBound:
         state = init_state(inst.obs, cfg)
         unobserved = np.setdiff1d(np.arange(19), inst.obs.indices)
         for _ in range(8):
-            state = fista_step(state, inst.obs, cfg)
+            state = step(state, inst.obs, cfg)
             assert np.all(np.abs(state.z.values[unobserved]) <= bound + 1e-12)
             assert np.all(np.abs(state.z_tilde.values[unobserved]) <= bound + 1e-12)
             assert np.array_equal(state.z.values[inst.obs.indices], inst.obs.values)
@@ -375,10 +404,10 @@ class TestSolve:
         scale = np.linalg.norm(inst.x_true)
         for _ in range(20):
             ref = dense_pgd_step(ref, inst.obs, cfg)
-            state = pgd_step(state, inst.obs, cfg)
+            state = step(state, inst.obs, cfg)
             assert np.linalg.norm(state.z.values - ref.z) <= 1e-8 * scale
             assert np.linalg.norm(densify(state.factors) - ref.L) <= 1e-8 * scale
-            assert abs(objective(state.factors, state.z, state.sums) - dense_objective(ref)) <= 1e-8 * scale**2
+            assert abs(state.objective - dense_objective(ref)) <= 1e-8 * scale**2
 
     def test_accelerated_not_slower_to_converge(self):
         inst = make_instance(48, 3, 36, seed=10)
