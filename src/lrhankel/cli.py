@@ -329,10 +329,9 @@ def cmd_phase(settings: Settings) -> Outcome:
         master_seed=settings.get("seed"),
         solver=_solver_config(settings, rank=1, svd_seed=0),
     )
-    workers = settings.get("threads") or os.cpu_count() or 1
     rows = [
         [*map(fmt_int, (c.rank, c.samples, c.trials, c.successes)), fmt_float(c.success_rate)]
-        for c in run_phase(grid, workers=workers)
+        for c in run_phase(grid, workers=settings.get("threads"))
     ]
     return {"phase.csv": (["rank", "samples", "trials", "successes", "success_rate"], rows)}, None
 

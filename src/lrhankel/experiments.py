@@ -7,14 +7,16 @@ error against the ground truth is at most SUCCESS_THRESHOLD.
 """
 
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .lowrank import SvdConvergenceError
 from .signal import make_instance, relative_error
-from .solver import RecoveryResult, SolverConfig, solve
+from .solver import RecoveryResult, SolverConfig, checked_int, solve
 
 logger = logging.getLogger(__name__)
 
@@ -33,19 +35,14 @@ class ExperimentGrid:
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(rank=1))
 
     def __post_init__(self):
-        object.__setattr__(self, "rank_values", tuple(int(r) for r in self.rank_values))
-        object.__setattr__(self, "sample_values", tuple(int(m) for m in self.sample_values))
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        for name, low in (("n", 2), ("trials", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
+        for name, label, top in (("rank_values", "rank values", self.n),
+                                 ("sample_values", "sample counts", 2 * self.n - 1)):
+            values = tuple(checked_int(label, value, 1, top) for value in getattr(self, name))
+            object.__setattr__(self, name, values)
         if not self.rank_values or not self.sample_values:
             raise ValueError("rank_values and sample_values must be nonempty")
-        for name, values, top in (("rank values", self.rank_values, self.n),
-                                  ("sample counts", self.sample_values, 2 * self.n - 1)):
-            for value in values:
-                if not 1 <= value <= top:
-                    raise ValueError(f"{name} must lie in [1, {top}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +80,15 @@ def trial_seed(master_seed: int, rank: int, samples: int, trial: int) -> int:
 
 
 def run_trial(n: int, rank: int, samples: int, seed: int, cfg: SolverConfig) -> bool:
-    """One synthetic recovery; True if the relative error clears the threshold."""
+    """One synthetic recovery; True if the relative error clears the threshold.
+
+    A solve that fails numerically counts as a failed trial and is logged
+    with its traceback; any other exception propagates.
+    """
     inst = make_instance(n, rank, samples, seed)
     try:
         result = solve(inst.obs, replace(cfg, rank=rank, svd_seed=seed))
-    except Exception:
+    except (SvdConvergenceError, np.linalg.LinAlgError):
         logger.warning(
             "solve failed on trial (n=%d, rank=%d, samples=%d, seed=%d); counted as failure",
             n, rank, samples, seed, exc_info=True,
@@ -96,40 +97,31 @@ def run_trial(n: int, rank: int, samples: int, seed: int, cfg: SolverConfig) -> 
     return relative_error(result.z_hat, inst.x_true) <= SUCCESS_THRESHOLD
 
 
-def _phase_task(args) -> bool:
-    n, rank, samples, seed, cfg = args
-    return run_trial(n, rank, samples, seed, cfg)
-
-
-def run_phase(grid: ExperimentGrid, workers: int = 1) -> list[PhaseCell]:
-    """Success counts for every (rank, samples) cell of the grid.
+def run_phase(grid: ExperimentGrid, workers: int | None = 1) -> list[PhaseCell]:
+    """Success counts for every (rank, samples) cell of the grid, in grid order.
 
     Parallelism is across trials only; each trial owns a seed derived from
     (master_seed, rank, samples, trial), so any worker count produces the
-    identical table.
+    identical table. `workers=None` means every CPU; the pool never has more
+    workers than CPUs or trials, and one worker runs the trials in-process.
     """
-    tasks = [
+    cells = [(rank, samples) for rank in grid.rank_values for samples in grid.sample_values]
+    trials = [
         (grid.n, rank, samples, trial_seed(grid.master_seed, rank, samples, t), grid.solver)
-        for rank in grid.rank_values
-        for samples in grid.sample_values
+        for rank, samples in cells
         for t in range(grid.trials)
     ]
+    columns = zip(*trials)
+    cpus = os.cpu_count() or 1
     # a forked pool starts all its workers at the first submit, used or not
-    workers = min(workers, len(tasks))
+    workers = min(workers or cpus, cpus, len(trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_phase_task, tasks, chunksize=1))
+            outcomes = list(pool.map(run_trial, *columns, chunksize=1))
     else:
-        outcomes = [_phase_task(task) for task in tasks]
-
-    cells = []
-    cursor = 0
-    for rank in grid.rank_values:
-        for samples in grid.sample_values:
-            chunk = outcomes[cursor : cursor + grid.trials]
-            cursor += grid.trials
-            cells.append(PhaseCell(rank, samples, grid.trials, sum(chunk)))
-    return cells
+        outcomes = list(map(run_trial, *columns))
+    k = grid.trials
+    return [PhaseCell(*cell, k, sum(outcomes[i * k : (i + 1) * k])) for i, cell in enumerate(cells)]
 
 
 def run_bench(

@@ -38,10 +38,6 @@ class SpectralModel:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def order(self) -> int:
-        return self.freqs.size
-
 
 @dataclass(frozen=True)
 class SampleInstance:

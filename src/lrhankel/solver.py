@@ -19,6 +19,7 @@ cannot leave it.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,18 @@ from .lowrank import (
 )
 
 
+def checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int if it is an integer (numpy's too) in [low, high], else a ValueError naming `name`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if value < low or (high is not None and value > high):
+        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of a recovery run.
@@ -61,16 +74,14 @@ class SolverConfig:
     svd_seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
+        for name, low in (("rank", 1), ("max_iter", 1), ("svd_seed", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
         for name in ("delta1", "delta2"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.bound is not None and not self.bound > 0:
             raise ValueError(f"bound must be positive when set, got {self.bound}")
 

@@ -1,7 +1,10 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
-from lrhankel import SolverConfig, experiments
+from lrhankel import SolverConfig, SvdConvergenceError, experiments
 from lrhankel.experiments import (
     SUCCESS_THRESHOLD,
     ExperimentGrid,
@@ -58,6 +61,22 @@ class TestGrid:
         for samples, bad in (((0,), 0), ((8, 40), 40)):
             with pytest.raises(ValueError, match=rf"sample counts must lie in \[1, 31\], got {bad}$"):
                 small_grid(sample_values=samples)
+        # non-integers and negative seeds are rejected here, not truncated or failed on later
+        for field_name, bad, message in (
+            ("rank_values", (1.7,), "rank values must be an integer, got 1.7"),
+            ("sample_values", (8, 15.9), "sample counts must be an integer, got 15.9"),
+            ("trials", 1.5, "trials must be an integer, got 1.5"),
+            ("n", 16.0, "n must be an integer, got 16.0"),
+            ("master_seed", -1, "master_seed must be at least 0, got -1"),
+            ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                small_grid(**{field_name: bad})
+        grid = small_grid(n=np.int64(16), rank_values=np.array([1, 2]), sample_values=(np.int32(8),),
+                          trials=np.int64(5), master_seed=np.uint64(123))
+        assert (grid.n, grid.rank_values, grid.sample_values, grid.trials, grid.master_seed) == (
+            16, (1, 2), (8,), 5, 123)
+        assert all(type(v) is int for v in (grid.n, *grid.rank_values, *grid.sample_values))
 
     def test_phase_cell_rate(self):
         assert PhaseCell(1, 10, 20, 13).success_rate == 0.65
@@ -72,6 +91,23 @@ class TestPhase:
         assert run_trial(16, 1, 31, seed=7, cfg=cfg)
         # fewer samples than degrees of freedom cannot identify the signal
         assert not run_trial(16, 4, 3, seed=7, cfg=SolverConfig(rank=4, max_iter=200))
+
+    def test_only_numerical_failures_count_as_failed_trials(self, monkeypatch, caplog):
+        def raising(error):
+            def solve(obs, cfg):
+                raise error
+            return solve
+
+        monkeypatch.setattr(experiments, "solve", raising(TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            run_trial(16, 1, 31, seed=7, cfg=SolverConfig(rank=1))
+        for error in (SvdConvergenceError("no convergence"), np.linalg.LinAlgError("SVD did not converge")):
+            monkeypatch.setattr(experiments, "solve", raising(error))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="lrhankel.experiments"):
+                assert run_trial(16, 1, 31, seed=7, cfg=SolverConfig(rank=1)) is False
+            (record,) = caplog.records
+            assert record.levelno == logging.WARNING and record.exc_info[1] is error
 
     def test_full_observation_column_is_perfect(self):
         cells = run_phase(small_grid())
@@ -105,15 +141,24 @@ class TestPhase:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         grid = small_grid(rank_values=(1,), sample_values=(31,), trials=3)
-        assert run_phase(grid, workers=64) == run_phase(grid, workers=1)
-        assert sizes == [3]
-        run_phase(small_grid(rank_values=(1,), sample_values=(31,), trials=1), workers=64)
-        assert sizes == [3]  # a single trial runs in-process, with no pool
+        serial = run_phase(grid, workers=1)
+        assert sizes == []
+        for cpus, workers, size in ((64, 64, 3), (2, 64, 2), (2, None, 2), (3, None, 3)):
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert run_phase(grid, workers=workers) == serial
+            assert sizes == [size], (cpus, workers)
+        for cpus, workers, trials in ((64, 64, 1), (None, None, 3), (None, 64, 3)):
+            # a single trial, or an unknown CPU count, runs in-process, with no pool
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            run_phase(small_grid(rank_values=(1,), sample_values=(31,), trials=trials), workers=workers)
+            assert sizes == [], (cpus, workers, trials)
 
     def test_monotone_in_samples_for_each_rank(self):
         # statistical form: with >= 20 trials the largest-sample column never

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestConfig:
             SolverConfig(rank=1, max_iter=0)
         with pytest.raises(ValueError, match="bound"):
             SolverConfig(rank=1, bound=-1.0)
+        # non-integers and negative seeds fail here, not inside solve or only on the Lanczos path
+        for field_name, bad, message in (
+            ("rank", 2.5, "rank must be an integer, got 2.5"),
+            ("max_iter", 3.5, "max_iter must be an integer, got 3.5"),
+            ("svd_seed", -1, "svd_seed must be at least 0, got -1"),
+            ("svd_seed", 1.5, "svd_seed must be an integer, got 1.5"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                SolverConfig(**{"rank": 1, field_name: bad})
+        cfg = SolverConfig(rank=np.int64(2), max_iter=np.int32(7), svd_seed=np.uint64(2**64 - 1))
+        assert (cfg.rank, cfg.max_iter, cfg.svd_seed) == (2, 7, 2**64 - 1)
 
 
 class TestInit:
