@@ -1,8 +1,9 @@
 """CSV and config-file formats of the experiment harness.
 
-All files are UTF-8 with LF line endings and a header row. Floats are
-serialized with 17 significant digits so that runs reproduce byte for byte;
-complex values occupy a re,im column pair. Signal files hold rows "t,re,im"
+All files are UTF-8 with LF line endings and a header row; a leading
+byte-order mark, as some editors save "CSV UTF-8", is skipped on reading.
+Floats are serialized with 17 significant digits so that runs reproduce
+byte for byte; complex values occupy a re,im column pair. Signal files hold rows "t,re,im"
 for every t; observation files hold the same rows for observed t only.
 """
 
@@ -48,7 +49,7 @@ def _parse_rows(path) -> list[tuple[int, int, complex]]:
     if not os.path.isfile(path):
         raise InputFileError(f"{path}: no such file")
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -114,7 +115,7 @@ def read_config_file(path) -> dict[str, str]:
     if not os.path.isfile(path):
         raise InputFileError(f"{path}: no such file")
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lowrank import SvdConvergenceError
+from .lowrank import SvdConvergenceError, checked_int
 from .signal import make_instance, relative_error
-from .solver import RecoveryResult, SolverConfig, checked_int, solve
+from .solver import RecoveryResult, SolverConfig, solve
 
 logger = logging.getLogger(__name__)
 
@@ -74,8 +74,9 @@ class CompareResult:
 
 
 def trial_seed(master_seed: int, rank: int, samples: int, trial: int) -> int:
-    """Stable per-trial seed; depends only on the trial's grid coordinates."""
-    ss = np.random.SeedSequence([int(master_seed), int(rank), int(samples), int(trial)])
+    """Stable per-trial seed from the trial's grid coordinates, each an integer of at least 0."""
+    coordinates = {"master_seed": master_seed, "rank": rank, "samples": samples, "trial": trial}
+    ss = np.random.SeedSequence([checked_int(name, value, 0) for name, value in coordinates.items()])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -102,9 +103,12 @@ def run_phase(grid: ExperimentGrid, workers: int | None = 1) -> list[PhaseCell]:
 
     Parallelism is across trials only; each trial owns a seed derived from
     (master_seed, rank, samples, trial), so any worker count produces the
-    identical table. `workers=None` means every CPU; the pool never has more
-    workers than CPUs or trials, and one worker runs the trials in-process.
+    identical table. `workers` is None, meaning every CPU, or an integer of
+    at least 1; the pool never has more workers than CPUs or trials, and one
+    worker runs the trials in-process.
     """
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else checked_int("workers", workers, 1)
     cells = [(rank, samples) for rank in grid.rank_values for samples in grid.sample_values]
     trials = [
         (grid.n, rank, samples, trial_seed(grid.master_seed, rank, samples, t), grid.solver)
@@ -112,9 +116,8 @@ def run_phase(grid: ExperimentGrid, workers: int | None = 1) -> list[PhaseCell]:
         for t in range(grid.trials)
     ]
     columns = zip(*trials)
-    cpus = os.cpu_count() or 1
     # a forked pool starts all its workers at the first submit, used or not
-    workers = min(workers or cpus, cpus, len(trials))
+    workers = min(workers, cpus, len(trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_trial, *columns, chunksize=1))
@@ -135,10 +138,9 @@ def run_bench(
     A discarded warm-up solve at the smallest case absorbs one-time library
     setup costs before anything is timed.
     """
+    repeats = checked_int("repeats", repeats, 1)
     if not cases:
         return []
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
     prepared = []
     for n, rank, samples in cases:
         seed = trial_seed(master_seed, rank, samples, n)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lowrank import LinearOperator, LowRankFactors, ensure_dense_allowed
+from .lowrank import LinearOperator, LowRankFactors, checked_int, ensure_dense_allowed
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class HankelVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"Hankel dimension must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", checked_int("Hankel dimension", self.n, 2))
         v = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
         if v.shape != (2 * self.n - 1,):
             raise ValueError(
@@ -60,8 +59,7 @@ class ObservationSet:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"Hankel dimension must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", checked_int("Hankel dimension", self.n, 2))
         raw = np.asarray(self.indices).reshape(-1)
         if raw.size and raw.dtype.kind not in "iuf":
             raise ValueError(f"indices must be integers, got dtype {raw.dtype}")

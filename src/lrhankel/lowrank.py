@@ -32,6 +32,7 @@ memory guard, not a cost crossover.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +42,18 @@ DENSE_THRESHOLD = 256
 # above n = DENSE_CROSSOVER * (rank + 6), Lanczos beat the dense SVD in every
 # cell measured at n = 16..256 on mid-solve blend operators (CHANGES.md)
 DENSE_CROSSOVER = 7
+
+
+def checked_int(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int if it is an integer (numpy's too) in [low, high], else a ValueError naming `name`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if value < low or (high is not None and value > high):
+        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
 
 
 class DenseMaterializationError(RuntimeError):
@@ -79,8 +92,7 @@ class LowRankFactors:
     V: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"factor dimension must be positive, got {self.n}")
+        object.__setattr__(self, "n", checked_int("factor dimension n", self.n, 1))
         U = np.array(self.U, dtype=np.complex128, copy=True)
         V = np.array(self.V, dtype=np.complex128, copy=True)
         sigma = np.array(self.sigma, dtype=np.float64, copy=True)
@@ -286,10 +298,7 @@ def project_rank(
     returning silently inaccurate triplets. `rows`, when given, lends the
     Lanczos path its row buffers; the result never refers to them.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
-    if rank > op.n:
-        raise ValueError(f"rank {rank} exceeds operator dimension {op.n}")
+    rank = checked_int("rank", rank, 1, op.n)
     if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):
         U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import HankelVector, ObservationSet, hankel_operator
-from .lowrank import project_rank
+from .lowrank import checked_int, project_rank
 
 
 class PencilConditionError(RuntimeError):
@@ -51,9 +51,7 @@ class SampleInstance:
 
 def synthesize(model: SpectralModel, length: int) -> np.ndarray:
     """Uniform samples x[t] for t = 0..length-1."""
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    t = np.arange(length)
+    t = np.arange(checked_int("length", length, 1))
     return np.exp(2j * np.pi * np.outer(t, model.freqs)) @ model.amps
 
 
@@ -63,8 +61,7 @@ def random_model(order: int, rng: np.random.Generator) -> SpectralModel:
     Exact floating-point frequency collisions are redrawn so the model keeps
     pairwise distinct frequencies.
     """
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    order = checked_int("order", order, 1)
     freqs = rng.uniform(0.0, 1.0, size=order)
     while np.unique(freqs).size != order:
         freqs = rng.uniform(0.0, 1.0, size=order)
@@ -74,14 +71,11 @@ def random_model(order: int, rng: np.random.Generator) -> SpectralModel:
 
 def random_observations(x_true: np.ndarray, m: int, rng: np.random.Generator) -> ObservationSet:
     """Observe m coordinates drawn uniformly without replacement."""
-    x_true = np.asarray(x_true, dtype=np.complex128).reshape(-1)
-    length = x_true.shape[0]
-    if length % 2 == 0 or length < 3:
-        raise ValueError(f"signal length must be odd and at least 3, got {length}")
-    if not 1 <= m <= length:
-        raise ValueError(f"sample count must lie in [1, {length}], got {m}")
+    h = HankelVector.from_signal(x_true)
+    length = h.values.shape[0]
+    m = checked_int("sample count", m, 1, length)
     indices = np.sort(rng.choice(length, size=m, replace=False))
-    return ObservationSet((length + 1) // 2, indices, x_true[indices])
+    return ObservationSet(h.n, indices, h.values[indices])
 
 
 def make_instance(n: int, order: int, m: int, seed: int) -> SampleInstance:
@@ -91,6 +85,7 @@ def make_instance(n: int, order: int, m: int, seed: int) -> SampleInstance:
     streams of the seed, so the instance is reproducible regardless of how
     many other instances were drawn before it.
     """
+    n, seed = checked_int("n", n, 2), checked_int("seed", seed, 0)
     model_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     obs_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     model = random_model(order, model_rng)
@@ -119,8 +114,7 @@ def extract_frequencies(z_hat, order: int) -> np.ndarray:
     phases of Psi are the frequencies, returned sorted ascending in [0, 1).
     """
     h = z_hat if isinstance(z_hat, HankelVector) else HankelVector.from_signal(z_hat)
-    if not 1 <= order <= h.n - 1:
-        raise ValueError(f"order must lie in [1, {h.n - 1}], got {order}")
+    order = checked_int("order", order, 1, h.n - 1)
     f = project_rank(hankel_operator(h), order)
     if f.rank < order:
         raise PencilConditionError(

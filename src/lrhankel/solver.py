@@ -19,7 +19,6 @@ cannot leave it.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,21 +36,10 @@ from .lowrank import (
     LanczosRows,
     LinearOperator,
     LowRankFactors,
+    checked_int,
     lowrank_dense,
     project_rank,
 )
-
-
-def checked_int(name: str, value, low: int, high: int | None = None) -> int:
-    """`value` as an int if it is an integer (numpy's too) in [low, high], else a ValueError naming `name`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value}") from None
-    if value < low or (high is not None and value > high):
-        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
-        raise ValueError(f"{name} must {bound}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,12 @@ class TestSignalFiles:
         with pytest.raises(InputFileError, match=":3:"):
             read_signal_file(path)
 
+    def test_reads_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        for text in ("t,re,im\n0,1,0\n1,2,0\n2,3,0\n", "0,1,0\n1,2,0\n2,3,0\n"):
+            path.write_text(text, encoding="utf-8-sig")
+            assert np.array_equal(read_signal_file(path), [1, 2, 3])
+
     def test_malformed_field_reports_line(self, tmp_path):
         path = tmp_path / "signal.csv"
         for row in ("1,oops,0", "1,nan,0", "1,0,inf", "1,-inf,nan"):
@@ -71,6 +77,13 @@ class TestObservationFiles:
         back = read_observation_file(path, 5)
         assert np.array_equal(back.indices, obs.indices)
         assert np.array_equal(back.values, obs.values)
+
+    def test_reads_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        for text in ("t,re,im\n0,1,0\n3,2,0\n", "0,1,0\n3,2,0\n"):
+            path.write_text(text, encoding="utf-8-sig")
+            obs = read_observation_file(path, 5)
+            assert np.array_equal(obs.indices, [0, 3]) and np.array_equal(obs.values, [1, 2])
 
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -90,6 +103,11 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         path.write_text("# sweep setup\nn = 64\ntol=1e-5\n\naccelerated=true\n")
         assert read_config_file(path) == {"n": "64", "tol": "1e-5", "accelerated": "true"}
+
+    def test_reads_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n=64\ntol=1e-5\n", encoding="utf-8-sig")
+        assert read_config_file(path) == {"n": "64", "tol": "1e-5"}
 
     def test_rejects_lines_without_equals(self, tmp_path):
         path = tmp_path / "run.cfg"

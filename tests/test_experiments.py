@@ -160,6 +160,18 @@ class TestPhase:
             run_phase(small_grid(rank_values=(1,), sample_values=(31,), trials=trials), workers=workers)
             assert sizes == [], (cpus, workers, trials)
 
+    def test_rejects_bad_worker_counts(self, monkeypatch):
+        # the fake records every pool asked for and starts none
+        sizes = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: sizes.append(max_workers))
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        grid = small_grid(rank_values=(1,), sample_values=(31,), trials=3)
+        for workers, message in ((0, "be at least 1, got 0"), (-3, "be at least 1, got -3"),
+                                 (2.5, "be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=f"^workers must {re.escape(message)}$"):
+                run_phase(grid, workers=workers)
+        assert sizes == []
+
     def test_monotone_in_samples_for_each_rank(self):
         # statistical form: with >= 20 trials the largest-sample column never
         # trails the smallest-sample column
