@@ -94,7 +94,6 @@ def antidiag_weights(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
 def fft_length(n: int) -> int:
     # smallest power of two >= 2n-1: the anti-diagonal sums are 2n-1 long, and
     # the matvec reads outputs n-1..2n-2 of a length-(3n-2) convolution, which
@@ -147,8 +146,6 @@ def antidiag_sums_lowrank(f: LowRankFactors) -> np.ndarray:
     with conj(v_r); the terms are summed in the transform domain.
     """
     n = f.n
-    if f.rank == 0:
-        return np.zeros(2 * n - 1, dtype=np.complex128)
     length = fft_length(n)
     # one contiguous row per rank-one term: row FFTs beat axis-0 column FFTs
     uf = np.fft.fft(np.multiply(f.U.T, f.sigma[:, None], order="C"), length)

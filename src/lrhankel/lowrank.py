@@ -32,6 +32,7 @@ memory guard, not a cost crossover.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -102,7 +103,7 @@ class LowRankFactors:
                 f"inconsistent factor shapes: U {U.shape}, sigma {sigma.shape}, "
                 f"V {V.shape} for n={self.n}"
             )
-        if r and (np.any(sigma < 0) or np.any(np.diff(sigma) > 0)):
+        if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
         for a in (U, sigma, V):
             a.setflags(write=False)
@@ -138,12 +139,13 @@ class LinearOperator:
     apply_adjoint: Callable[[np.ndarray], np.ndarray]
     materialize: Optional[Callable[[], np.ndarray]] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", checked_int("operator dimension n", self.n, 1))
+
 
 def lowrank_dense(f: LowRankFactors) -> np.ndarray:
     """Dense n-by-n matrix of the factorization, for the dense SVD path and oracles."""
     ensure_dense_allowed(f.n, "lowrank_dense")
-    if f.rank == 0:
-        return np.zeros((f.n, f.n), dtype=np.complex128)
     return (f.U * f.sigma) @ f.V.conj().T
 
 
@@ -275,7 +277,8 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: 
                 raise SvdConvergenceError(
                     f"singular triplets passed the Ritz estimates but failed residual "
                     f"verification after {k} Lanczos steps (n={n}); the operator's "
-                    f"adjoint pairing is likely inconsistent"
+                    f"adjoint pairing is likely inconsistent, or tol={tol:g} is below "
+                    f"the accuracy its residuals can reach"
                 )
             return U, sigma, V
 
@@ -295,10 +298,14 @@ def project_rank(
     an arbitrary but seed-deterministic choice. Singular values that are zero
     or below 1e-12 of the largest are dropped, so the result can have rank
     below the requested bound. Raises SvdConvergenceError instead of
-    returning silently inaccurate triplets. `rows`, when given, lends the
-    Lanczos path its row buffers; the result never refers to them.
+    returning silently inaccurate triplets. `tol` must lie in (0, 0.1): the
+    residuals are held to 10 tol sigma_1, which at 0.1 or above no longer
+    constrains the leading triplet. `rows`, when given, lends the Lanczos
+    path its row buffers; the result never refers to them.
     """
     rank = checked_int("rank", rank, 1, op.n)
+    if not isinstance(tol, numbers.Real) or not 0.0 < tol < 0.1:  # NaN fails the range
+        raise ValueError(f"tol must be a number in (0, 0.1), got {tol}")
     if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):
         U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T

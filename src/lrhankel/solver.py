@@ -144,15 +144,13 @@ def objective(f: LowRankFactors, h: HankelVector, sums: np.ndarray) -> float:
 
 
 def _clamped(h: HankelVector, bound: float, obs: ObservationSet) -> HankelVector:
-    """Scale unobserved coordinates down to magnitude <= bound."""
+    """Scale unobserved coordinates down to magnitude <= bound; observed ones take the data's values."""
     values = np.array(h.values)
     mags = np.abs(values)
     over = mags > bound
-    if np.any(over):
-        values[over] *= bound / mags[over]
-        values[obs.indices] = obs.values
-        return HankelVector(h.n, values)
-    return h
+    values[over] *= bound / mags[over]
+    values[obs.indices] = obs.values
+    return HankelVector(h.n, values)
 
 
 def init_state(obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None = None) -> IterateState:

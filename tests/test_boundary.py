@@ -11,6 +11,7 @@ import pytest
 
 from lrhankel import (
     HankelVector,
+    LinearOperator,
     LowRankFactors,
     ObservationSet,
     SolverConfig,
@@ -29,6 +30,10 @@ Z = np.exp(2j * np.pi * 0.1 * np.arange(15))  # rank 1, n = 8
 MODEL = SpectralModel([0.1], [1.0])
 
 
+def identity(v):
+    return v
+
+
 def empty_factors(n):
     return LowRankFactors(n, np.zeros((3, 0)), np.zeros(0), np.zeros((3, 0)))
 
@@ -37,6 +42,8 @@ def empty_factors(n):
 # non-integer, an out-of-range value)
 SITES = {
     "LowRankFactors": ("factor dimension n", empty_factors, np.uint8(3), 3.0, 0),
+    "LinearOperator": (
+        "operator dimension n", lambda v: LinearOperator(v, identity, identity), np.int64(3), 8.0, 0),
     "project_rank": ("rank", lambda v: project_rank(hankel_operator(HankelVector(8, Z)), v), np.int64(1), 2.0, 9),
     "HankelVector": ("Hankel dimension", lambda v: HankelVector(v, Z), np.int64(8), 8.0, 1),
     "ObservationSet": ("Hankel dimension", lambda v: ObservationSet(v, [0], [1.0]), np.int32(8), 8.0, 1),

@@ -5,7 +5,7 @@ import pytest
 
 from lrhankel import SvdConvergenceError, cli
 from lrhankel.cli import main
-from lrhankel.csvio import read_signal_file
+from lrhankel.csvio import read_signal_file, sample_table, write_csv
 
 
 def read_summary(path):
@@ -113,6 +113,43 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"input error: {zero}: ")
         assert not out.exists()
+
+    def test_signal_file_of_wrong_length_before_solve(self, tmp_path, capsys):
+        inst, longer, out = tmp_path / "inst", tmp_path / "longer", tmp_path / "out"
+        assert run("synth", "--n", 8, "--rank", 1, "--samples", 10, "--out", inst) == 0
+        assert run("synth", "--n", 10, "--rank", 1, "--samples", 10, "--out", longer) == 0
+        signal = longer / "signal.csv"
+        code = run("solve", "--n", 8, "--rank", 1, "--obs-file", inst / "observations.csv",
+                   "--signal-file", signal, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {signal}: signal length 19 does not match n=8\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["obs", "signal"])
+    @pytest.mark.parametrize("text, message", [
+        ("t,re,im\n0,1,0\n1,2\n", ":3: expected 3 comma-separated fields, got 2"),
+        ("t,re,im\n0,1,0\n1,2,0,0\n", ":3: expected 3 comma-separated fields, got 4"),
+        ("t,re,im\n", ": file contains no "),
+    ])
+    def test_malformed_rows_and_header_only_files(self, tmp_path, capsys, which, text, message):
+        inst, out, bad = tmp_path / "inst", tmp_path / "out", tmp_path / "bad.csv"
+        assert run("synth", "--n", 8, "--rank", 1, "--samples", 10, "--out", inst) == 0
+        bad.write_text(text)
+        obs, signal = (bad, inst / "signal.csv") if which == "obs" else (inst / "observations.csv", bad)
+        code = run("solve", "--n", 8, "--rank", 1, "--obs-file", obs, "--signal-file", signal, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"input error: {bad}{message}")
+        assert not out.exists()
+
+    def test_unidentifiable_frequencies_are_reported_not_fatal(self, tmp_path):
+        # a fully observed rank-1 signal solved at rank 2: H(z_hat) has
+        # numerical rank 1, so the shift pencil cannot give two frequencies
+        obs, out = tmp_path / "obs.csv", tmp_path / "o"
+        write_csv(obs, *sample_table(range(15), np.exp(2j * np.pi * 0.1 * np.arange(15))))
+        assert run("solve", "--n", 8, "--rank", 2, "--obs-file", obs, "--out", out) == 0
+        summary = read_summary(out / "summary.csv")
+        assert summary["frequency_extraction"] == "failed"
+        assert not any(key.startswith("freq_") for key in summary)
 
     @pytest.mark.parametrize("error", [
         SvdConvergenceError("Lanczos stalled"),
@@ -332,6 +369,18 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err.startswith(message.format(cfg=cfg))
         assert not out.exists()
 
+    def test_config_accelerated_matches_the_flag(self, tmp_path):
+        base = ("solve", "--n", 16, "--rank", 2, "--samples", 14, "--seed", 3)
+        assert run(*base, "--out", tmp_path / "plain") == 0
+        assert run(*base, "--accelerated", "--out", tmp_path / "accel") == 0
+        plain, accel = ((tmp_path / d / "history.csv").read_bytes() for d in ("plain", "accel"))
+        assert plain != accel
+        for value, expected in (("yes", accel), ("1", accel), ("no", plain)):
+            cfg, out = tmp_path / f"{value}.cfg", tmp_path / f"config-{value}"
+            cfg.write_text(f"accelerated={value}\n")
+            assert run(*base, "--config", cfg, "--out", out) == 0
+            assert (out / "history.csv").read_bytes() == expected
+
     def test_missing_config_file(self, tmp_path):
         assert run("solve", "--config", tmp_path / "none.cfg", "--out", tmp_path / "o") == 2
 
@@ -383,6 +432,16 @@ class TestBench:
 
 
 class TestCompare:
+    def test_strict_nonconvergence_still_writes_both_tables(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code = run("compare", "--n", 32, "--rank", 2, "--samples", 24, "--seed", 3,
+                   "--max-iter", 1, "--strict", "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == "at least one solver did not converge within max_iter\n"
+        assert len((out / "compare.csv").read_text().splitlines()) == 3
+        summary = read_summary(out / "compare_summary.csv")
+        assert summary["plain_converged"] == summary["accel_converged"] == "false"
+
     def test_aligned_logs_and_summary(self, tmp_path):
         out = tmp_path / "c"
         assert run("compare", "--n", 32, "--rank", 2, "--samples", 24, "--seed", 3,

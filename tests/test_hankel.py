@@ -200,6 +200,12 @@ class TestAntidiagSums:
     def test_zero_factors(self):
         assert not antidiag_sums_lowrank(LowRankFactors.zero(5)).any()
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 257, 1001])
+    def test_zero_factors_give_positive_zero_bits(self, n):
+        # rank 0 takes the general path: an empty batch of row FFTs sums to +0.0
+        sums = antidiag_sums_lowrank(LowRankFactors.zero(n))
+        assert sums.tobytes() == np.zeros(2 * n - 1, complex).tobytes()
+
     @pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (9, 3), (16, 4)])
     def test_matches_dense_oracle(self, n, r):
         rng = np.random.default_rng(n * 10 + r)
@@ -288,6 +294,13 @@ class TestProjection:
             blend = (1 - delta2) * dense_hankel(h.values) + delta2 * lowrank_dense(f)
             expected = dense_project_hankel(blend, obs)
             assert np.allclose(got.values, expected, rtol=1e-11, atol=1e-11)
+
+    def test_blend_rejects_mismatched_dimensions(self):
+        h = HankelVector.zeros(3)
+        obs = ObservationSet(3, [0], [1.0])
+        for sums, o in ((np.zeros(7, complex), obs), (np.zeros(5, complex), ObservationSet(4, [0], [1.0]))):
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                project_hankel_blend(h, sums, 0.5, o)
 
     def test_blend_rejects_bad_delta(self):
         h = HankelVector.zeros(3)

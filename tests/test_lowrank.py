@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,11 @@ class TestFactors:
         f = LowRankFactors(3, np.eye(3)[:, :1], [2.0], np.eye(3)[:, 1:2])
         assert np.allclose(lowrank_dense(f), 2 * np.outer(np.eye(3)[0], np.eye(3)[1]))
 
+    def test_zero_factors_give_positive_zero_bits(self):
+        # the rank-0 product takes the general path: an empty sum is +0.0 everywhere
+        for n in (1, 2, 7, 64):
+            assert lowrank_dense(LowRankFactors.zero(n)).tobytes() == np.zeros((n, n), complex).tobytes()
+
     def test_dense_guard(self):
         f = LowRankFactors.zero(DENSE_THRESHOLD + 1)
         with pytest.raises(DenseMaterializationError):
@@ -104,6 +111,21 @@ class TestTruncatedSvd:
             project_rank(op, 0)
         with pytest.raises(ValueError):
             project_rank(op, 4)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 0.1, 0.5, 10.0, np.nan, np.inf, "1e-10", None])
+    def test_rejects_tol_outside_its_range(self, tol):
+        # from 0.1 up the residual bound 10 tol sigma_1 no longer constrains
+        # the triplets: on this operator 0.5 and 10 give sigma_3 30% low
+        op = dense_operator(random_spectrum_matrix(60, np.random.default_rng(60)), materialize=False)
+        with pytest.raises(ValueError, match=rf"^tol must be a number in \(0, 0\.1\), got {re.escape(str(tol))}$"):
+            project_rank(op, 3, tol=tol)
+
+    def test_unreachable_tol_is_named_in_the_verification_error(self):
+        # the adjoint is exact, but no residual reaches 10 * 1e-300 * sigma_1
+        op = dense_operator(random_spectrum_matrix(60, np.random.default_rng(60)), materialize=False)
+        with pytest.raises(SvdConvergenceError, match="tol=1e-300 is below the accuracy its residuals can reach"):
+            project_rank(op, 3, tol=1e-300)
+        assert project_rank(op, 3, tol=0.099).rank == 3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dense_svd_oracle(self, seed):

@@ -307,6 +307,9 @@ class TestBlendOperator:
             assert np.linalg.norm(op.apply(v) - dense @ v) <= scale
             assert np.linalg.norm(op.apply_adjoint(v) - dense.conj().T @ v) <= scale
 
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: factors n=3, h n=4$"):
+            blend_operator(LowRankFactors.zero(3), HankelVector.zeros(4), 0.3)
 
     def test_applies_leave_input_and_earlier_results_alone(self):
         # the blend accumulates in the Hankel product's array, never in v
@@ -345,6 +348,15 @@ class TestBound:
         free = solve(inst.obs, SolverConfig(rank=1, svd_seed=6))
         capped = solve(inst.obs, SolverConfig(rank=1, bound=1e6, svd_seed=6))
         assert np.array_equal(free.z_hat, capped.z_hat)
+
+    def test_accelerated_solve_with_generous_bound_keeps_every_bit(self):
+        # a clamp that scales nothing rewrites the observed values already there
+        inst = make_instance(16, 2, 14, seed=3)
+        free = solve(inst.obs, SolverConfig(rank=2, accelerated=True, svd_seed=3))
+        capped = solve(inst.obs, SolverConfig(rank=2, accelerated=True, bound=1e6, svd_seed=3))
+        assert free.iterations == capped.iterations
+        assert free.z_hat.tobytes() == capped.z_hat.tobytes()
+        assert free.objective_history.tobytes() == capped.objective_history.tobytes()
 
 
 class TestSolve:
