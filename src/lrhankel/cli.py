@@ -13,6 +13,7 @@ after every table is computed, so an error leaves no partial output.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -92,6 +93,7 @@ _AT_LEAST_0 = (lambda v: v >= 0, "must be at least 0")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _AT_LEAST_2 = (lambda v: v >= 2, "must be at least 2")
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _OPEN_UNIT = (lambda v: 0 < v < 1, "must lie strictly in (0, 1)")
 
 
@@ -142,7 +144,7 @@ _SETTINGS = {
         Setting("delta2", float, _SOLVER_DEFAULTS["delta2"], "data-step size in (0,1), default {default}",
                 _SOLVERS, valid=_OPEN_UNIT),
         Setting("tol", float, _SOLVER_DEFAULTS["tol"], "relative-change stopping tolerance, default {default}",
-                _SOLVERS, valid=_POSITIVE),
+                _SOLVERS, valid=_POSITIVE_FINITE),
         Setting("max_iter", int, _SOLVER_DEFAULTS["max_iter"], "iteration cap, default {default}",
                 _SOLVERS, valid=_AT_LEAST_1),
         # compare runs both variants, so it has no use for the flag

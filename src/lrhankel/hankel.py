@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lowrank import LinearOperator, LowRankFactors, checked_int, ensure_dense_allowed
+from .lowrank import LinearOperator, LowRankFactors, checked_int, checked_vector, ensure_dense_allowed
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,7 @@ def hankel_operator(h: HankelVector) -> LinearOperator:
     zf_conj = np.conj(zf)
 
     def product(v, first, spectrum, second):
-        v = np.asarray(v, dtype=np.complex128).reshape(-1)
-        if v.shape != (n,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({n},)")
-        x = first(v[::-1], length)
+        x = first(checked_vector(v, n)[::-1], length)
         np.multiply(spectrum, x, out=x)
         return second(x)[n - 1 : 2 * n - 1]
 

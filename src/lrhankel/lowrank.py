@@ -21,16 +21,24 @@ The four row buffers of the recurrence (the bases u_k and v_k and the
 products A v_k and A* u_k) live in a LanczosRows that the caller may hold
 across projections: solve keeps one for the length of the solve, so each
 projection writes into rows already paged in and only grows them when a
-projection needs more. Without one, a projection allocates its own. A
-LanczosRows belongs to one solve at a time; it is never module state,
-because threads share the module.
+projection needs more. The same LanczosRows keeps the seeded start vector,
+drawn once per (n, seed), and the generator a breakdown draws on from.
+Without one, a projection allocates its own. A LanczosRows belongs to one
+solve at a time; it is never module state, because threads share the
+module.
+
+Lanczos reaches an operator only through its callbacks, so the operator
+sets what an apply costs. The solver's blend operator is one gemv on its
+dense matrix, built once per operator, at n <= 128 (solver.GEMV_MAX_N),
+and the FFT blend above that.
 
 Everything in this package runs in O(n R) memory. Dense n-by-n matrices
-are allowed up to DENSE_THRESHOLD, for the dense SVD and as test oracles,
-and refused above it with DenseMaterializationError. That limit is a
-memory guard, not a cost crossover.
+are allowed up to DENSE_THRESHOLD, for the dense SVD, the gemv blend and
+as test oracles, and refused above it with DenseMaterializationError.
+That limit is a memory guard, not a cost crossover.
 """
 
+import copy
 import math
 import numbers
 import operator
@@ -55,6 +63,14 @@ def checked_int(name: str, value, low: int, high: int | None = None) -> int:
         bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
         raise ValueError(f"{name} must {bound}, got {value}")
     return value
+
+
+def checked_vector(v, n: int) -> np.ndarray:
+    """`v` flattened to a complex array if it holds n entries, else a ValueError naming its shape."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    if v.shape != (n,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({n},)")
+    return v
 
 
 class DenseMaterializationError(RuntimeError):
@@ -153,10 +169,24 @@ class LanczosRows:
     """Row buffers of _lanczos_bidiag, reused by the projections of one caller.
 
     Rows past the current Lanczos step hold stale values and are never read.
+    It also holds the start vector of the last (n, seed) it served.
     """
 
     def __init__(self):
         self._buffers: tuple[np.ndarray, ...] = ()
+        self._start: tuple = ()
+
+    def start(self, n: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+        """The read-only unit start vector for (n, seed) and the generator just past its draws.
+
+        The generator is held for later projections: draw from a copy of it.
+        """
+        if self._start[:2] != (n, seed):
+            rng = np.random.default_rng(seed)
+            v = _fresh_direction(rng, np.empty((0, n), dtype=np.complex128), 0, n)
+            v.setflags(write=False)
+            self._start = (n, seed, v, rng)
+        return self._start[2:]
 
     def take(self, rows: int, n: int, keep: int = 0) -> tuple[np.ndarray, ...]:
         """Four (rows, n) buffers; when they must grow, the first `keep` rows carry over."""
@@ -202,7 +232,17 @@ def _worst_column_sq(R: np.ndarray) -> float:
 def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
     """Leading `rank` Ritz triplets (U, sigma, V), verified by their residuals."""
     n = op.n
-    rng = np.random.default_rng(seed)
+    v, start_rng = rows.start(n, seed)
+    rng = None
+
+    def fresh(basis, k):
+        # a breakdown draws on where the start vector's draws ended, from a
+        # copy, so the held generator serves the next projection unchanged
+        nonlocal rng
+        if rng is None:
+            rng = copy.deepcopy(start_rng)
+        return _fresh_direction(rng, basis, k, n)
+
     # the cap bounds what a projection that never converges can cost; it is
     # n for every n <= 1066 at rank 8, where beta = 0 makes the triplets exact
     block = max(rank, 8)
@@ -214,7 +254,6 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: 
     alphas: list[float] = []
     betas: list[float] = []
 
-    v = _fresh_direction(rng, Vb, 0, n)
     u_prev = np.zeros(n, dtype=np.complex128)
     beta_prev = 0.0
     scale = 0.0
@@ -230,7 +269,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: 
         scale = max(scale, alpha)
         if alpha <= 1e-14 * max(scale, 1.0):
             alpha = 0.0
-            u = _fresh_direction(rng, Ub, k, n)
+            u = fresh(Ub, k)
         else:
             # numpy divides complex by real through the reciprocal, so these
             # are the bits of u / alpha, without the temporary
@@ -245,7 +284,7 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: 
             beta, w = 0.0, np.zeros(n, dtype=np.complex128)
         elif beta <= 1e-14 * max(scale, 1.0):
             beta = 0.0
-            w = _fresh_direction(rng, Vb, k + 1, n)
+            w = fresh(Vb, k + 1)
         else:
             w *= 1.0 / beta
         alphas.append(alpha)
@@ -298,12 +337,13 @@ def project_rank(
     an arbitrary but seed-deterministic choice. Singular values that are zero
     or below 1e-12 of the largest are dropped, so the result can have rank
     below the requested bound. Raises SvdConvergenceError instead of
-    returning silently inaccurate triplets. `tol` must lie in (0, 0.1): the
-    residuals are held to 10 tol sigma_1, which at 0.1 or above no longer
-    constrains the leading triplet. `rows`, when given, lends the Lanczos
-    path its row buffers; the result never refers to them.
+    returning silently inaccurate triplets. `seed` is a nonnegative integer.
+    `tol` must lie in (0, 0.1): the residuals are held to 10 tol sigma_1,
+    which at 0.1 or above no longer constrains the leading triplet. `rows`,
+    when given, lends the Lanczos path its row buffers and start vector; the
+    result never refers to them.
     """
-    rank = checked_int("rank", rank, 1, op.n)
+    rank, seed = checked_int("rank", rank, 1, op.n), checked_int("seed", seed, 0)
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < 0.1:  # NaN fails the range
         raise ValueError(f"tol must be a number in (0, 0.1), got {tol}")
     if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):

@@ -7,11 +7,13 @@ the other and projects back:
     L_{t+1} = P_rank( (1-delta1) L_t + delta1 H_t )
     H_{t+1} = P_data( (1-delta2) H_t + delta2 L_{t+1} )
 
-Both projections run matrix-free: L lives as factors, H as its parameter
-vector. Both variants run the same `step`, which takes the half-steps from
-a Hankel iterate z_tilde. The accelerated variant extrapolates z_tilde with
-the classic momentum schedule k_{t+1} = (sqrt(1 + 4 k_t^2) + 1) / 2, and
-`step` itself resets the momentum whenever the objective rises (adaptive
+L lives as factors and H as its parameter vector. Both projections run
+matrix-free above n = GEMV_MAX_N; at or below it, the blend that the rank
+projection takes is built once per step as a dense matrix. Both variants
+run the same `step`, which takes the half-steps from a Hankel iterate
+z_tilde. The accelerated variant extrapolates z_tilde with the classic
+momentum schedule k_{t+1} = (sqrt(1 + 4 k_t^2) + 1) / 2, and `step`
+itself resets the momentum whenever the objective rises (adaptive
 restart). The plain iteration is the same step without extrapolation:
 z_tilde is always the current iterate. Every iterate stays feasible,
 because the data-consistent set is affine and extrapolation along it
@@ -37,6 +39,7 @@ from .lowrank import (
     LinearOperator,
     LowRankFactors,
     checked_int,
+    checked_vector,
     lowrank_dense,
     project_rank,
 )
@@ -68,8 +71,8 @@ class SolverConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:  # NaN fails the range
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.bound is not None and not self.bound > 0:
             raise ValueError(f"bound must be positive when set, got {self.bound}")
 
@@ -102,12 +105,39 @@ class RecoveryResult:
     relchange_history: np.ndarray = field(repr=False)
 
 
+# at n <= GEMV_MAX_N the blend is applied by gemv on its dense matrix: Lanczos
+# on it took 0.57-0.95x the time of Lanczos on the FFT blend in every cell at
+# n = 64..128, r = 1, 4, 8, but 1.01-1.02x at (160, 1) and up to 1.59x at
+# n = 192 (two runs on mid-solve operators, CHANGES.md)
+GEMV_MAX_N = 128
+
+
 def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearOperator:
-    """(1-delta1)*L + delta1*H(z) as a matvec contract, O(n r + n log n) per apply."""
+    """(1-delta1)*L + delta1*H(z) as a matvec contract.
+
+    At n <= GEMV_MAX_N the dense blend M is built once, in O(n^2) memory;
+    `apply` and `apply_adjoint` are M v and M* v, and `materialize` returns
+    M itself, read-only. Above it an apply costs O(n r + n log n), through
+    the factors and the Hankel FFT, and `materialize` builds M on request.
+    """
     if f.n != h.n:
         raise ValueError(f"dimension mismatch: factors n={f.n}, h n={h.n}")
+    n, c = h.n, 1.0 - delta1
+
+    def dense():
+        return c * lowrank_dense(f) + delta1 * hankel_dense(h)
+
+    if n <= GEMV_MAX_N:
+        M = dense()
+        M.setflags(write=False)
+        Mh = np.conjugate(M.T, order="C")
+        return LinearOperator(
+            n=n,
+            apply=lambda v: M @ checked_vector(v, n),
+            apply_adjoint=lambda v: Mh @ checked_vector(v, n),
+            materialize=lambda: M,
+        )
     hop = hankel_operator(h)
-    c = 1.0 - delta1
     # conjugated rows, made contiguous once per operator, not once per apply
     Uh, Vh = np.conjugate(f.U.T, order="C"), np.conjugate(f.V.T, order="C")
 
@@ -126,10 +156,10 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
         return blend(hop.apply_adjoint(v), f.V, Uh, v)
 
     return LinearOperator(
-        n=h.n,
+        n=n,
         apply=apply,
         apply_adjoint=apply_adjoint,
-        materialize=lambda: c * lowrank_dense(f) + delta1 * hankel_dense(h),
+        materialize=dense,
     )
 
 

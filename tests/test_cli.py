@@ -227,7 +227,9 @@ class TestUsage:
          "--delta1 must lie strictly in (0, 1), got 1.5"),
         (("phase", "--n", 8, "--rank-values", 1, "--samples-values", 8, "--delta2", 0),
          "--delta2 must lie strictly in (0, 1), got 0.0"),
-        (("bench", "--case", "8,1,5", "--tol", 0), "--tol must be positive, got 0.0"),
+        (("bench", "--case", "8,1,5", "--tol", 0), "--tol must be positive and finite, got 0.0"),
+        (("solve", "--n", 8, "--rank", 1, "--samples", 5, "--tol", "inf"),
+         "--tol must be positive and finite, got inf"),
         (("compare", "--n", 8, "--rank", 1, "--samples", 5, "--max-iter", 0),
          "--max-iter must be at least 1, got 0"),
         (("solve", "--n", 8, "--rank", 1, "--samples", 5, "--bound", -1),
@@ -236,7 +238,8 @@ class TestUsage:
             "solve-n-1", "synth-n-1", "compare-n-0", "phase-n-1", "bench-n-1",
             "solve-samples", "synth-samples-0", "compare-samples", "bench-samples",
             "phase-rank-values", "phase-rank-values-0", "phase-samples-values", "phase-trials",
-            "bench-repeats", "synth-seed", "solve-delta1", "phase-delta2", "bench-tol", "compare-max-iter",
+            "bench-repeats", "synth-seed", "solve-delta1", "phase-delta2", "bench-tol", "solve-tol-inf",
+            "compare-max-iter",
             "solve-bound"])
     def test_rank_outside_bounds_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
@@ -356,7 +359,7 @@ class TestConfigPrecedence:
         ("delta1=x", 2, "input error: {cfg}: key delta1: "),
         ("rank_values=,", 2, "input error: {cfg}: key rank_values: expected comma-separated integers"),
         # a value that parses but is out of range is a usage error that names its flag
-        pytest.param("tol=-1", 1, "usage error: --tol must be positive, got -1.0",
+        pytest.param("tol=-1", 1, "usage error: --tol must be positive and finite, got -1.0",
                      id="tol=-1-1-usage error: tol must be positive"),
         ("seed=-1", 1, "usage error: --seed must be at least 0, got -1"),
         ("delta1=1.5", 1, "usage error: --delta1 must lie strictly in (0, 1), got 1.5"),

@@ -10,6 +10,7 @@ from lrhankel import (
     SvdConvergenceError,
     project_rank,
 )
+from lrhankel import lowrank
 from lrhankel.lowrank import DENSE_THRESHOLD, LanczosRows, lowrank_dense
 
 
@@ -111,6 +112,14 @@ class TestTruncatedSvd:
             project_rank(op, 0)
         with pytest.raises(ValueError):
             project_rank(op, 4)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_rejects_bad_seed(self, seed, message):
+        # the seed keys the start vector a LanczosRows holds, so it is an integer
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_rank(dense_operator(np.eye(3), materialize=False), 1, seed=seed)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, 0.1, 0.5, 10.0, np.nan, np.inf, "1e-10", None])
     def test_rejects_tol_outside_its_range(self, tol):
@@ -261,23 +270,37 @@ class TestTruncatedSvd:
         bound = 10 * 1e-10 * s[0] / (s[r - 1] - s[r])
         assert np.linalg.norm(f.U[r:]) <= bound and np.linalg.norm(f.V[r:]) <= bound
 
-    def test_shared_rows_give_the_bits_of_fresh_buffers(self):
+    def test_shared_rows_give_the_bits_of_fresh_buffers(self, monkeypatch):
         # one LanczosRows serves projections of different n and rank, as it
         # would the projections of a solve; the small-gap operator grows it
         # past its first 4 * max(r, 8) rows, and the later, smaller
-        # projections run in rows a larger one has filled
+        # projections run in rows a larger one has filled. The rank-3
+        # operator has three equal singular values, so every Krylov space it
+        # spans has dimension one: its second and third triplets come from
+        # the fresh directions a breakdown draws. It runs twice after a
+        # projection at the same n and seed, so a held start vector or
+        # generator that moved would show in its bits
         rng = np.random.default_rng(17)
         applies = []
+        U, _, Vh = np.linalg.svd(random_spectrum_matrix(60, rng))
+        deficient = dense_operator(2.0 * U[:, :3] @ Vh[:3], materialize=False)
         cases = [
             (dense_operator(random_spectrum_matrix(60, rng), materialize=False), 3),
+            (deficient, 3),
+            (deficient, 3),
             (small_gap_operator(400, 8, applies)[0], 8),
             (dense_operator(random_spectrum_matrix(400, rng), materialize=False), 5),
             (dense_operator(random_spectrum_matrix(90, rng), materialize=False), 2),
             (dense_operator(random_spectrum_matrix(60, rng), materialize=False), 3),
         ]
+        draws = []
+        fresh_direction = lowrank._fresh_direction
+        monkeypatch.setattr(lowrank, "_fresh_direction", lambda *args: draws.append(args[2]) or fresh_direction(*args))
         rows = LanczosRows()
         shared = [project_rank(op, rank, seed=1, rows=rows) for op, rank in cases]
         assert len(applies) > 2 * 4 * 8
+        # draws past the start vector (k = 0) are breakdowns
+        assert sum(k > 0 for k in draws) >= 2 * 2
         for f, (op, rank) in zip(shared, cases):
             fresh = project_rank(op, rank, seed=1)
             assert f.rank == fresh.rank

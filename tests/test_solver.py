@@ -21,7 +21,7 @@ from lrhankel import (
     synthesize,
 )
 from lrhankel.lowrank import LowRankFactors, project_rank
-from lrhankel.solver import blend_operator
+from lrhankel.solver import GEMV_MAX_N, blend_operator
 
 from dense_reference import (
     dense_hankel,
@@ -58,8 +58,9 @@ class TestConfig:
     def test_other_validation(self):
         with pytest.raises(ValueError, match="rank"):
             SolverConfig(rank=0)
-        with pytest.raises(ValueError, match="tol"):
-            SolverConfig(rank=1, tol=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="^tol must be positive and finite"):
+                SolverConfig(rank=1, tol=bad)
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(rank=1, max_iter=0)
         with pytest.raises(ValueError, match="bound"):
@@ -286,17 +287,26 @@ class TestSteps:
             assert np.linalg.norm(got @ got.conj().T - projector) <= 1e-9 * np.linalg.norm(projector)
 
 
+def random_blend(n, rank, rng, delta1=0.3):
+    """blend_operator on a random Hankel vector and random rank-`rank` factors; returns (op, f, h)."""
+    h = HankelVector(n, rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1))
+    f = LowRankFactors.zero(n)
+    if rank:
+        U, s, Vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        f = LowRankFactors(n, U[:, :rank], s[:rank], Vh[:rank].conj().T)
+    return blend_operator(f, h, delta1), f, h
+
+
 class TestBlendOperator:
-    @pytest.mark.parametrize("n, rank", [(2, 0), (2, 1), (7, 0), (7, 3), (64, 0), (64, 5)])
+    # gemv on the dense blend at n <= GEMV_MAX_N, the FFT blend above it
+    @pytest.mark.parametrize("n, rank", [
+        (2, 0), (2, 1), (7, 0), (7, 3), (64, 0), (64, 5),
+        (GEMV_MAX_N, 0), (GEMV_MAX_N, 5), (GEMV_MAX_N + 1, 0), (GEMV_MAX_N + 1, 5),
+    ])
     def test_matches_dense_blend(self, n, rank):
         rng = np.random.default_rng(n + rank)
-        h = HankelVector(n, rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1))
-        f = LowRankFactors.zero(n)
-        if rank:
-            U, s, Vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            f = LowRankFactors(n, U[:, :rank], s[:rank], Vh[:rank].conj().T)
         delta1 = 0.3
-        op = blend_operator(f, h, delta1)
+        op, f, h = random_blend(n, rank, rng, delta1)
         # built from the oracle's Hankel matrix and U diag(sigma) V*, not from
         # the package's dense helpers that `materialize` calls
         dense = (1 - delta1) * densify(f) + delta1 * dense_hankel(h.values)
@@ -312,22 +322,35 @@ class TestBlendOperator:
             blend_operator(LowRankFactors.zero(3), HankelVector.zeros(4), 0.3)
 
     def test_applies_leave_input_and_earlier_results_alone(self):
-        # the blend accumulates in the Hankel product's array, never in v
+        # the FFT blend accumulates in the Hankel product's array and the gemv
+        # writes a fresh one, never v; both sides of the bound
         rng = np.random.default_rng(4)
-        n = 40
-        h = HankelVector(n, rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1))
-        U, s, Vh = np.linalg.svd(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        op = blend_operator(LowRankFactors(n, U[:, :3], s[:3], Vh[:3].conj().T), h, 0.3)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        before = v.copy()
-        first = op.apply(v)
-        kept = first.copy()
-        later = [op.apply_adjoint(v), op.apply(v), op.apply_adjoint(first)]
-        assert np.array_equal(v, before)
-        assert np.array_equal(first, kept)
-        for result in later:
-            assert not np.shares_memory(first, result)
-        assert not np.shares_memory(later[0], later[2])
+        for n in (40, GEMV_MAX_N, GEMV_MAX_N + 1):
+            op = random_blend(n, 3, rng)[0]
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            before = v.copy()
+            first = op.apply(v)
+            kept = first.copy()
+            later = [op.apply_adjoint(v), op.apply(v), op.apply_adjoint(first)]
+            assert np.array_equal(v, before)
+            assert np.array_equal(first, kept)
+            for result in later:
+                assert not np.shares_memory(first, result)
+            assert not np.shares_memory(later[0], later[2])
+
+    @pytest.mark.parametrize("n", [GEMV_MAX_N, GEMV_MAX_N + 1])
+    def test_rejects_a_vector_of_the_wrong_shape(self, n):
+        op = random_blend(n, 2, np.random.default_rng(5))[0]
+        for apply in (op.apply, op.apply_adjoint):
+            with pytest.raises(ValueError, match=rf"^vector has shape \({n + 1},\), expected \({n},\)$"):
+                apply(np.ones(n + 1))
+
+    def test_materialized_blend_is_built_once_and_read_only(self):
+        op = random_blend(GEMV_MAX_N, 2, np.random.default_rng(6))[0]
+        M = op.materialize()
+        assert op.materialize() is M
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 0.0
 
 
 class TestBound:
