@@ -114,14 +114,15 @@ def hankel_operator(h: HankelVector) -> LinearOperator:
     H v is the middle of the correlation of z with v: ifft(fft(z) fft(rev v)).
     H is complex symmetric, so H* v = conj(H conj(v)); carried through the
     transforms, that is fft(conj(fft(z)) ifft(rev v)), the same bits with no
-    conjugation per apply (the length is a power of two, so moving the 1/length
-    scale is exact). The spectral product is taken in place, in the array the
-    first transform returns; the operator keeps nothing between calls.
+    conjugation of v (the length is a power of two, so moving the 1/length
+    scale is exact). No solver path calls the adjoint, so its conjugated
+    spectrum is taken per call, not kept. The spectral product is taken in
+    place, in the array the first transform returns; the operator keeps
+    nothing between calls.
     """
     n = h.n
     length = fft_length(n)
     zf = np.fft.fft(h.values, length)
-    zf_conj = np.conj(zf)
 
     def product(v, first, spectrum, second):
         x = first(checked_vector(v, n)[::-1], length)
@@ -131,7 +132,7 @@ def hankel_operator(h: HankelVector) -> LinearOperator:
     return LinearOperator(
         n=n,
         apply=lambda v: product(v, np.fft.fft, zf, np.fft.ifft),
-        apply_adjoint=lambda v: product(v, np.fft.ifft, zf_conj, np.fft.fft),
+        apply_adjoint=lambda v: product(v, np.fft.ifft, np.conj(zf), np.fft.fft),
         materialize=lambda: hankel_dense(h),
     )
 

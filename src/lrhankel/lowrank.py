@@ -2,30 +2,46 @@
 
 Iterates of the solver are square complex matrices that are never formed
 densely. They are handled either as rank factorizations (U, sigma, V) or
-through matvec callbacks, and the best rank-R approximation is computed by
-Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization. The
-Ritz estimates are checked after every step up to 4 max(R, 8) steps, then
-every max(R, 8) steps; once they pass, the triplets are confirmed by
-their residuals, and a failed confirmation raises at once. The recurrence
-keeps every product A v_k and A* u_k it makes, so the residuals of the
-Ritz vectors V = [v_k] Q and U = [u_k] P come from those rows times Q and
-P, without applying the operator again. The check compares squared
-column sums, taken on the float view of the residuals, with the square of
-its threshold. Lanczos costs a fixed overhead plus about R + 2 to 2R
-steps, while a dense SVD costs the same at every rank, so where
-n <= DENSE_CROSSOVER (R + 6) an operator that can materialize itself takes
-a plain dense SVD instead. Either way one cut applies: singular values
+through matvec callbacks. Every operator the solver projects is complex
+symmetric: H(z)^T = H(z), the rank-R truncation of a complex symmetric
+matrix is again complex symmetric, and so is every blend of the two. So
+project_rank takes only operators with A^T = A, and computes the best
+rank-R approximation by complex-symmetric Lanczos (Bunse-Gerstner and
+Gragg, 1988; Luk and Qiao, 2003) with full reorthogonalization. It keeps
+one orthonormal basis Q: step k makes one apply A q_k and orthogonalizes
+conj(A q_k) against q_0..q_k by two passes of classical Gram-Schmidt,
+which gives A Q = conj(Q) T + beta_k conj(q_k+1) e_k^T with T = Q^T A Q
+complex symmetric tridiagonal (alpha_k = q_k^T A q_k on the diagonal, the
+real beta_k off it). From T = W S Z*, the Ritz triplets are U = conj(Q) W,
+S and V = Q Z, and beta_k |Z[k-1, j]| is the residual of triplet j. The
+Ritz estimates are checked every second step from R + 1 steps up to
+4 max(R, 8), then every max(R, 8) steps; once they pass, the triplets
+are confirmed by their residuals, and a failed confirmation raises at
+once. The recurrence keeps every product A q_k it makes, so A V - U S is
+those rows times Z, and A* U - V S, which for a complex symmetric A is
+conj(A conj(U)) - V S, is those rows times conj(W), conjugated: neither
+applies the operator again, and apply_adjoint is never called. An
+operator whose asymmetry is well above the residual threshold fails the
+first of them. The check compares squared column sums, taken on the float
+view of the residuals, with the square of its threshold. A beta that
+vanishes before step n closes an invariant Krylov space whose estimates
+read zero while larger singular values may lie outside it, so the
+recurrence goes on from a fresh random direction, and the leading Ritz
+value of the open space must converge as well; only a fresh direction
+that the operator maps to zero ends it early. Lanczos costs a fixed
+overhead plus about 2R steps, while a dense SVD costs the same at every
+rank, so where n <= DENSE_CROSSOVER (R + 6) an operator that can
+materialize itself takes a plain dense SVD instead. Either way one cut applies: singular values
 that are zero or below 1e-12 of the largest are dropped.
 
-The four row buffers of the recurrence (the bases u_k and v_k and the
-products A v_k and A* u_k) live in a LanczosRows that the caller may hold
-across projections: solve keeps one for the length of the solve, so each
-projection writes into rows already paged in and only grows them when a
-projection needs more. The same LanczosRows keeps the seeded start vector,
-drawn once per (n, seed), and the generator a breakdown draws on from.
-Without one, a projection allocates its own. A LanczosRows belongs to one
-solve at a time; it is never module state, because threads share the
-module.
+The two row buffers of the recurrence (the basis q_k and the products
+A q_k) live in a LanczosRows that the caller may hold across projections:
+solve keeps one for the length of the solve, so each projection writes
+into rows already paged in and only grows them when a projection needs
+more. The same LanczosRows keeps the seeded start vector, drawn once per
+(n, seed), and the generator a breakdown draws on from. Without one, a
+projection allocates its own. A LanczosRows belongs to one solve at a
+time; it is never module state, because threads share the module.
 
 Lanczos reaches an operator only through its callbacks, so the operator
 sets what an apply costs. The solver's blend operator is one gemv on its
@@ -146,8 +162,8 @@ class LinearOperator:
 
     `materialize`, when provided, returns the dense matrix; project_rank
     uses it where a dense SVD is the cheaper path and the dense threshold
-    allows it, and otherwise runs Lanczos on the callbacks alone, so
-    correctness never depends on it.
+    allows it, and otherwise runs Lanczos on `apply` alone, so correctness
+    never depends on it. project_rank never calls `apply_adjoint`.
     """
 
     n: int
@@ -166,7 +182,7 @@ def lowrank_dense(f: LowRankFactors) -> np.ndarray:
 
 
 class LanczosRows:
-    """Row buffers of _lanczos_bidiag, reused by the projections of one caller.
+    """Row buffers of _lanczos_symmetric, reused by the projections of one caller.
 
     Rows past the current Lanczos step hold stale values and are never read.
     It also holds the start vector of the last (n, seed) it served.
@@ -189,10 +205,10 @@ class LanczosRows:
         return self._start[2:]
 
     def take(self, rows: int, n: int, keep: int = 0) -> tuple[np.ndarray, ...]:
-        """Four (rows, n) buffers; when they must grow, the first `keep` rows carry over."""
+        """Two (rows, n) buffers; when they must grow, the first `keep` rows carry over."""
         held = self._buffers
         if not held or held[0].shape[0] < rows or held[0].shape[1] != n:
-            grown = tuple(np.empty((rows, n), dtype=np.complex128) for _ in range(4))
+            grown = tuple(np.empty((rows, n), dtype=np.complex128) for _ in range(2))
             if keep:
                 for new, old in zip(grown, held):
                     new[:keep] = old[:keep]
@@ -229,10 +245,10 @@ def _worst_column_sq(R: np.ndarray) -> float:
     return float((sq[0::2] + sq[1::2]).max())
 
 
-def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
-    """Leading `rank` Ritz triplets (U, sigma, V), verified by their residuals."""
+def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
+    """Leading `rank` Ritz triplets (U, sigma, V) of a complex symmetric operator, verified by their residuals."""
     n = op.n
-    v, start_rng = rows.start(n, seed)
+    q, start_rng = rows.start(n, seed)
     rng = None
 
     def fresh(basis, k):
@@ -250,79 +266,85 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: 
     next_check = rank + 1
 
     # basis rows, doubled when full: most projections stop within 4 * block
-    Ub, Vb, AV, AU = rows.take(min(max_steps, 4 * block), n)
-    alphas: list[float] = []
-    betas: list[float] = []
-
-    u_prev = np.zeros(n, dtype=np.complex128)
-    beta_prev = 0.0
+    Q, AQ = rows.take(min(max_steps, 4 * block), n)
+    T = np.zeros((Q.shape[0], Q.shape[0]), dtype=np.complex128)
+    beta = 0.0
     scale = 0.0
     k = 0
+    block_start = 0  # the step that opened the current Krylov block
 
     while k < max_steps:
-        if k == Ub.shape[0]:
-            Ub, Vb, AV, AU = rows.take(k + min(k, max_steps - k), n, keep=k)
-        Vb[k] = v
-        AV[k] = op.apply(v)
-        u = _reorthogonalize(AV[k] - beta_prev * u_prev, Ub[:k])
-        alpha = _norm(u)
-        scale = max(scale, alpha)
-        if alpha <= 1e-14 * max(scale, 1.0):
-            alpha = 0.0
-            u = fresh(Ub, k)
+        if k == Q.shape[0]:
+            Q, AQ = rows.take(k + min(k, max_steps - k), n, keep=k)
+            grown = np.zeros((Q.shape[0], Q.shape[0]), dtype=np.complex128)
+            grown[:k, :k] = T[:k, :k]
+            T = grown
+        if k:
+            T[k, k - 1] = T[k - 1, k] = beta
+        Q[k] = q
+        AQ[k] = op.apply(q)
+        T[k, k] = alpha = np.dot(q, AQ[k])
+        w = _reorthogonalize(np.conj(AQ[k]), Q[: k + 1])
+        beta = _norm(w)
+        scale = max(scale, abs(alpha), beta)
+        k += 1
+        check = k >= next_check or k == max_steps  # max_steps <= n
+        if k == n:
+            beta = 0.0
+        elif beta <= 1e-14 * max(scale, 1.0):
+            # the block's Krylov space is invariant. Its Ritz values are exact,
+            # but larger ones may lie outside it, so the projection goes on
+            # from a fresh direction; only a block that closed at its first
+            # step, a random direction the operator maps to zero, shows that
+            # nothing is left outside
+            beta = 0.0
+            check = k - 1 == block_start
+            block_start = k
+            q = fresh(Q, k)
         else:
             # numpy divides complex by real through the reciprocal, so these
-            # are the bits of u / alpha, without the temporary
-            u *= 1.0 / alpha
-        Ub[k] = u
-
-        AU[k] = op.apply_adjoint(u)
-        w = _reorthogonalize(AU[k] - alpha * v, Vb[: k + 1])
-        beta = _norm(w)
-        scale = max(scale, beta)
-        if k + 1 >= n:
-            beta, w = 0.0, np.zeros(n, dtype=np.complex128)
-        elif beta <= 1e-14 * max(scale, 1.0):
-            beta = 0.0
-            w = fresh(Vb, k + 1)
-        else:
+            # are the bits of w / beta, without the temporary
             w *= 1.0 / beta
-        alphas.append(alpha)
-        betas.append(beta)
-        v, u_prev, beta_prev = w, u, beta
-        k += 1
-        if k < next_check and k < max_steps:
+            q = w
+        if not check:
             continue
-        # a Ritz SVD costs O(k^3): check after every step while k is small,
+        # a Ritz SVD costs O(k^3): check every second step while k is small,
         # then every `block` steps
-        next_check = k + (1 if k < 4 * block else block)
+        next_check = k + (2 if k < 4 * block else block)
 
-        # Ritz values of the k-by-k upper bidiagonal projection
-        B = np.diag(alphas) + np.diag(betas[: k - 1], 1)
-        P, s, Qt = np.linalg.svd(B)
+        # A Q = conj(Q) T + beta conj(q_k+1) e_k^T with T = Q^T A Q complex
+        # symmetric tridiagonal; from T = W S Z*, V = Q Z and U = conj(Q) W
+        W, s, Zh = np.linalg.svd(T[:k, :k])
         floor = tol * max(s[0], 1e-300)
-        estimates = betas[k - 1] * np.abs(P[k - 1, :rank])
+        estimates = beta * np.abs(Zh[:rank, k - 1])
+        if 0 < block_start < k:
+            # the closed blocks' estimates read zero, so the open block's own
+            # leading Ritz value must have converged too: until it has, a
+            # larger singular value may still lie outside the Krylov space
+            lead = np.linalg.svd(T[block_start:k, block_start:k])[2][0, -1]
+            estimates = np.append(estimates, beta * abs(lead))
         if np.all(estimates <= floor):
-            P_r, Q_r = P[:, :rank], Qt[:rank].conj().T
-            U, V, sigma = Ub[:k].T @ P_r, Vb[:k].T @ Q_r, s[:rank]
-            # the estimate presumes the adjoint pairing holds; confirm with
-            # residuals, and raise if they fail: more steps cannot help. By
-            # linearity A V and A* U are the stored products times Q_r and
-            # P_r, so the check costs no further apply
-            RV, RU = AV[:k].T @ Q_r, AU[:k].T @ P_r
+            W_r, Z_r, sigma = W[:, :rank], Zh[:rank].conj().T, s[:rank]
+            V, U = Q[:k].T @ Z_r, np.conj(Q[:k].T @ np.conj(W_r))
+            # the estimate presumes A^T = A; confirm with residuals, and raise
+            # if they fail: more steps cannot help. By linearity A V is the
+            # stored products times Z_r, and for a symmetric operator
+            # A* U = conj(A conj(U)) = conj(AQ^T conj(W_r)), so the check
+            # costs no further apply
+            RV, RU = AQ[:k].T @ Z_r, np.conj(AQ[:k].T @ np.conj(W_r))
             RV -= U * sigma
             RU -= V * sigma
             if max(_worst_column_sq(RV), _worst_column_sq(RU)) > (10.0 * floor) ** 2:
                 raise SvdConvergenceError(
                     f"singular triplets passed the Ritz estimates but failed residual "
-                    f"verification after {k} Lanczos steps (n={n}); the operator's "
-                    f"adjoint pairing is likely inconsistent, or tol={tol:g} is below "
+                    f"verification after {k} Lanczos steps (n={n}); the operator is "
+                    f"likely not complex symmetric (A^T != A), or tol={tol:g} is below "
                     f"the accuracy its residuals can reach"
                 )
             return U, sigma, V
 
     raise SvdConvergenceError(
-        f"Lanczos bidiagonalization did not reach tol={tol:g} for the leading "
+        f"complex-symmetric Lanczos did not reach tol={tol:g} for the leading "
         f"{rank} singular triplets within {max_steps} steps (n={n})"
     )
 
@@ -330,8 +352,13 @@ def _lanczos_bidiag(op: LinearOperator, rank: int, tol: float, seed: int, rows: 
 def project_rank(
     op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0, rows: Optional[LanczosRows] = None
 ) -> LowRankFactors:
-    """Best rank-`rank` approximation of the operator (Eckart-Young truncation).
+    """Best rank-`rank` approximation of a complex symmetric operator (Eckart-Young truncation).
 
+    The operator must satisfy A^T = A, as every operator the solver builds
+    does. One that does not raises SvdConvergenceError once its asymmetry
+    shows in the residuals: at tol = 1e-10 and n = 300, a rank-one
+    asymmetry of 1e-6 of the norm raised and one of 1e-8 did not. Only
+    `apply`, and `materialize` where the dense path is taken, are called.
     Deterministic for a fixed seed. When the spectrum is degenerate at the
     cut (sigma_rank equals sigma_rank+1) the retained invariant subspace is
     an arbitrary but seed-deterministic choice. Singular values that are zero
@@ -350,6 +377,6 @@ def project_rank(
         U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
         U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
     else:
-        U, s, V = _lanczos_bidiag(op, rank, tol, seed, LanczosRows() if rows is None else rows)
+        U, s, V = _lanczos_symmetric(op, rank, tol, seed, LanczosRows() if rows is None else rows)
     r = int(np.count_nonzero((s > 0) & (s >= 1e-12 * s[0])))
     return LowRankFactors(op.n, U[:, :r], s[:r], V[:, :r])

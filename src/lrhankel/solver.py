@@ -119,6 +119,9 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
     `apply` and `apply_adjoint` are M v and M* v, and `materialize` returns
     M itself, read-only. Above it an apply costs O(n r + n log n), through
     the factors and the Hankel FFT, and `materialize` builds M on request.
+    The blend is complex symmetric, and project_rank calls only `apply`,
+    so what only the adjoint needs (M*, the conjugated rows of U) is taken
+    inside `apply_adjoint`, per call.
     """
     if f.n != h.n:
         raise ValueError(f"dimension mismatch: factors n={f.n}, h n={h.n}")
@@ -130,16 +133,15 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
     if n <= GEMV_MAX_N:
         M = dense()
         M.setflags(write=False)
-        Mh = np.conjugate(M.T, order="C")
         return LinearOperator(
             n=n,
             apply=lambda v: M @ checked_vector(v, n),
-            apply_adjoint=lambda v: Mh @ checked_vector(v, n),
+            apply_adjoint=lambda v: np.conj(M.T) @ checked_vector(v, n),
             materialize=lambda: M,
         )
     hop = hankel_operator(h)
     # conjugated rows, made contiguous once per operator, not once per apply
-    Uh, Vh = np.conjugate(f.U.T, order="C"), np.conjugate(f.V.T, order="C")
+    Vh = np.conjugate(f.V.T, order="C")
 
     def blend(hv, X, Yh, v):
         # hv is the Hankel product, a fresh array: the sum accumulates in it
@@ -153,7 +155,7 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
         return blend(hop.apply(v), f.U, Vh, v)
 
     def apply_adjoint(v):
-        return blend(hop.apply_adjoint(v), f.V, Uh, v)
+        return blend(hop.apply_adjoint(v), f.V, np.conj(f.U.T), v)
 
     return LinearOperator(
         n=n,

@@ -58,10 +58,10 @@ def matrix_free(A):
 
 
 def separated_spectrum_matrix(n, rng):
-    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    """Complex symmetric Y diag(s) Y^T, the operators project_rank takes."""
+    Y, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     s = 10.0 * 0.75 ** np.arange(n)
-    return (U * s) @ V.conj().T
+    return (Y * s) @ Y.T
 
 
 def test_data_projection_matches_constrained_least_squares():
@@ -88,7 +88,8 @@ def test_rank_projection_matches_dense_svd_truncation():
             if case % 2 == 0:
                 A = separated_spectrum_matrix(n, rng)
             else:
-                A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                A = G + G.T
             U, s, Vh = np.linalg.svd(A)
             oracle = (U[:, :r] * s[:r]) @ Vh[:r]
             f = project_rank(matrix_free(A), r, tol=1e-12, seed=case)

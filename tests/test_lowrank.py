@@ -35,12 +35,21 @@ def orthonormality_defect(f):
     return float(max(du, dv))
 
 
+def random_unitary(n, rng):
+    Y, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Y
+
+
 def random_spectrum_matrix(n, rng, decay=0.75):
-    """Random matrix with well-separated singular values (no degenerate gaps)."""
-    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    s = decay ** np.arange(n) * 10.0
-    return (U * s) @ V.conj().T
+    """Random complex symmetric matrix Y diag(s) Y^T with well-separated singular values."""
+    Y = random_unitary(n, rng)
+    return (Y * (decay ** np.arange(n) * 10.0)) @ Y.T
+
+
+def nonsymmetric_matrix(n, rng):
+    """Random U diag(s) V* with the singular values of random_spectrum_matrix; A^T != A."""
+    U, V = random_unitary(n, rng), random_unitary(n, rng)
+    return (U * (0.75 ** np.arange(n) * 10.0)) @ V.conj().T
 
 
 def small_gap_operator(n, r, applies):
@@ -195,45 +204,65 @@ class TestTruncatedSvd:
         assert np.all(np.abs(f.sigma - s) <= 1e-9 * s[0])
 
     def test_nonconvergence_is_reported(self):
-        # an inconsistent "adjoint" breaks the bidiagonalization invariants,
-        # so residuals cannot reach the tolerance even at full Krylov dimension
+        # an operator that is not complex symmetric breaks the recurrence's
+        # invariants, so residuals cannot reach the tolerance at any Krylov
+        # dimension; its apply_adjoint is never called
         rng = np.random.default_rng(12)
         for n, rank, tol in ((12, 2, 1e-14), (200, 8, 1e-10)):
-            A = random_spectrum_matrix(n, rng)
-            B = random_spectrum_matrix(n, rng)
-            broken = LinearOperator(n, lambda v: A @ v, lambda v: B @ v)
-            with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+            A = nonsymmetric_matrix(n, rng)
+            broken = LinearOperator(n, lambda v: A @ v, None)
+            with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
                 project_rank(broken, rank, tol=tol, seed=0)
 
     def test_inconsistent_adjoint_fails_fast(self):
-        # adjoint A.T instead of A*: the first residual verification fails,
-        # and the projection raises then instead of stepping on to k = n
+        # A instead of a complex symmetric operator: the first residual
+        # verification fails, and the projection raises then instead of
+        # stepping on to k = n
         n, rank = 300, 8
-        A = random_spectrum_matrix(n, np.random.default_rng(16))
+        A = nonsymmetric_matrix(n, np.random.default_rng(16))
         applies = []
         broken = LinearOperator(
             n,
             apply=lambda v: applies.append(1) or A @ v,
             apply_adjoint=lambda v: applies.append(1) or A.T @ v,
         )
-        with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+        with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
             project_rank(broken, rank, seed=0)
         assert len(applies) <= 200
+
+    @pytest.mark.parametrize("kind", ["gaussian", "triangular", "separated", "skew part"])
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_nonsymmetric_operator_raises(self, kind, n):
+        # project_rank takes complex symmetric operators only; any other
+        # must end in SvdConvergenceError, never in triplets that are wrong
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = {
+            "gaussian": G,
+            "triangular": np.triu(G),
+            "separated": nonsymmetric_matrix(n, rng),
+            "skew part": G + G.T + 1e-3 * (G - G.T),
+        }[kind]
+        with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
+            project_rank(dense_operator(A, materialize=False), 4, seed=0)
 
     @pytest.mark.parametrize("eps, consistent", [
         (0.0, True), (1e-12, True), (1e-8, True), (1e-6, False), (1e-3, False),
     ])
     def test_verification_from_stored_products_keeps_its_strength(self, eps, consistent):
-        # the adjoint is A* plus a rank-one error of relative size eps: small
-        # errors must still yield triplets whose explicitly recomputed
-        # residuals pass, and large ones must still be caught
+        # the operator is complex symmetric plus a rank-one nonsymmetric error
+        # of relative size eps: small errors must still yield triplets whose
+        # explicitly recomputed residuals pass, and large ones must still be
+        # caught. The adjoint is the one the contract implies, conj(A conj(u)),
+        # as the adjoint callback was before the contract narrowed
         n, rank, tol = 300, 8, 1e-10
         rng = np.random.default_rng(3)
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        S = G + G.T
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        scale = eps * np.linalg.norm(A, 2) / (np.linalg.norm(a) * np.linalg.norm(b))
-        Ah = A.conj().T + scale * np.outer(a, b.conj())
+        scale = eps * np.linalg.norm(S, 2) / (np.linalg.norm(a) * np.linalg.norm(b))
+        A = S + scale * np.outer(a, b.conj())
         calls = {"apply": 0, "apply_adjoint": 0}
 
         def counted(name, M):
@@ -242,19 +271,44 @@ class TestTruncatedSvd:
                 return M @ v
             return fn
 
-        op = LinearOperator(n, counted("apply", A), counted("apply_adjoint", Ah))
+        op = LinearOperator(n, counted("apply", A), counted("apply_adjoint", A.conj().T))
         if not consistent:
-            with pytest.raises(SvdConvergenceError, match="adjoint pairing is likely inconsistent"):
+            with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
                 project_rank(op, rank, tol=tol, seed=0)
             return
         f = project_rank(op, rank, tol=tol, seed=0)
-        # one apply and one adjoint apply per Lanczos step, none to verify
-        assert calls["apply"] == calls["apply_adjoint"]
-        assert sum(calls.values()) == 176
+        # one apply per Lanczos step, none to verify, and no adjoint apply
+        assert calls["apply_adjoint"] == 0
+        assert calls["apply"] == 113
         assert f.rank == rank
         for i in range(rank):
             assert np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i]) <= 10 * tol * f.sigma[0]
-            assert np.linalg.norm(Ah @ f.U[:, i] - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
+            assert np.linalg.norm(np.conj(A @ f.U[:, i].conj()) - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
+
+    @pytest.mark.parametrize("rank", [4, 6])
+    def test_breakdown_does_not_end_the_projection(self, rank):
+        # a Krylov space of diag(d) holds two directions per distinct value, so
+        # it closes at Ritz values [3, 3, 2, 2, 1, 1]. Their estimates read
+        # zero, yet 18 more singular values 3 lie outside it: the projection
+        # goes on from a fresh direction until the open space has converged
+        d = np.repeat([3.0, 2.0, 1.0], 20)
+        f = project_rank(LinearOperator(60, lambda v: d * v, lambda v: d * v), rank)
+        assert f.rank == rank
+        assert np.all(np.abs(f.sigma - 3.0) <= 1e-10 * 3.0)
+        assert np.linalg.norm(f.U[20:]) <= 1e-9 and np.linalg.norm(f.V[20:]) <= 1e-9
+
+    def test_rank_deficient_operator_stops_at_its_range(self):
+        # a fresh direction that the operator maps to zero shows that nothing
+        # is left outside the closed Krylov space, so a rank-2 operator stops
+        # after a few steps instead of running on to k = n
+        n = 2000
+        rng = np.random.default_rng(18)
+        Y = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0]
+        applies = []
+        op = LinearOperator(n, lambda v: applies.append(1) or (Y * [5.0, 2.0]) @ (Y.T @ v), None)
+        f = project_rank(op, 8, seed=0)
+        assert np.all(np.abs(f.sigma - [5.0, 2.0]) <= 1e-10 * 5.0)
+        assert len(applies) <= 10
 
     def test_small_gap_at_the_cut_runs_past_short_step_caps(self):
         # sigma_8 / sigma_9 = 1.001 with the tail crowding just below sigma_9:
@@ -275,15 +329,15 @@ class TestTruncatedSvd:
         # would the projections of a solve; the small-gap operator grows it
         # past its first 4 * max(r, 8) rows, and the later, smaller
         # projections run in rows a larger one has filled. The rank-3
-        # operator has three equal singular values, so every Krylov space it
-        # spans has dimension one: its second and third triplets come from
-        # the fresh directions a breakdown draws. It runs twice after a
+        # operator 2 Y Y^T has three equal singular values, so its Krylov
+        # spaces close within a few steps: its later triplets come from the
+        # fresh directions a breakdown draws. It runs twice after a
         # projection at the same n and seed, so a held start vector or
         # generator that moved would show in its bits
         rng = np.random.default_rng(17)
         applies = []
-        U, _, Vh = np.linalg.svd(random_spectrum_matrix(60, rng))
-        deficient = dense_operator(2.0 * U[:, :3] @ Vh[:3], materialize=False)
+        Y = random_unitary(60, rng)
+        deficient = dense_operator(2.0 * Y[:, :3] @ Y[:, :3].T, materialize=False)
         cases = [
             (dense_operator(random_spectrum_matrix(60, rng), materialize=False), 3),
             (deficient, 3),
