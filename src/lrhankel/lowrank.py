@@ -16,23 +16,26 @@ real beta_k off it). From T = W S Z*, the Ritz triplets are U = conj(Q) W,
 S and V = Q Z, and beta_k |Z[k-1, j]| is the residual of triplet j. The
 Ritz estimates are checked every second step from R + 1 steps up to
 4 max(R, 8), then every max(R, 8) steps; once they pass, the triplets
-are confirmed by their residuals, and a failed confirmation raises at
+are confirmed by their residual, and a failed confirmation raises at
 once. The recurrence keeps every product A q_k it makes, so A V - U S is
-those rows times Z, and A* U - V S, which for a complex symmetric A is
-conj(A conj(U)) - V S, is those rows times conj(W), conjugated: neither
-applies the operator again, and apply_adjoint is never called. An
-operator whose asymmetry is well above the residual threshold fails the
-first of them. The check compares squared column sums, taken on the float
-view of the residuals, with the square of its threshold. A beta that
-vanishes before step n closes an invariant Krylov space whose estimates
-read zero while larger singular values may lie outside it, so the
-recurrence goes on from a fresh random direction, and the leading Ritz
-value of the open space must converge as well; only a fresh direction
-that the operator maps to zero ends it early. Lanczos costs a fixed
-overhead plus about 2R steps, while a dense SVD costs the same at every
-rank, so where n <= DENSE_CROSSOVER (R + 6) an operator that can
-materialize itself takes a plain dense SVD instead. Either way one cut applies: singular values
-that are zero or below 1e-12 of the largest are dropped.
+those rows times Z: it applies the operator no further, and apply_adjoint
+is never called. For a complex symmetric A, W = conj(Z) up to a phase per
+column wherever sigma is simple, so A* U - V S = conj(A conj(U)) - V S
+would repeat that residual column by column. An operator whose asymmetry
+is well above the residual threshold fails it. The check compares squared
+column sums, taken on the float view of the residual, with the square of
+its threshold. A beta that vanishes before step n closes an invariant
+Krylov block, whose Ritz values are exact; larger singular values may lie
+outside it. Every block starts from a random direction, so it holds the
+largest singular value outside the blocks before it: once that is within
+the residual floor of sigma_R of all closed blocks, nothing outside them
+is larger, and the projection ends; else the recurrence goes on from a
+fresh random direction, and the leading Ritz value of the open block must
+converge as well. Lanczos costs a fixed overhead plus about 2R steps,
+while a dense SVD costs the same at every rank, so where
+n <= DENSE_CROSSOVER (R + 6) an operator that can materialize itself
+takes a plain dense SVD instead. Either way one cut applies: singular
+values that are zero or below 1e-12 of the largest are dropped.
 
 The two row buffers of the recurrence (the basis q_k and the products
 A q_k) live in a LanczosRows that the caller may hold across projections:
@@ -289,17 +292,16 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         scale = max(scale, abs(alpha), beta)
         k += 1
         check = k >= next_check or k == max_steps  # max_steps <= n
+        closed = None  # the start of a block that closed at this step
         if k == n:
             beta = 0.0
         elif beta <= 1e-14 * max(scale, 1.0):
-            # the block's Krylov space is invariant. Its Ritz values are exact,
-            # but larger ones may lie outside it, so the projection goes on
-            # from a fresh direction; only a block that closed at its first
-            # step, a random direction the operator maps to zero, shows that
-            # nothing is left outside
+            # the block's Krylov space is invariant and its Ritz values are
+            # exact, but larger ones may lie outside it: check whether any
+            # can, and go on from a fresh direction if so
             beta = 0.0
-            check = k - 1 == block_start
-            block_start = k
+            closed, block_start = block_start, k
+            check = True
             q = fresh(Q, k)
         else:
             # numpy divides complex by real through the reciprocal, so these
@@ -317,24 +319,30 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         W, s, Zh = np.linalg.svd(T[:k, :k])
         floor = tol * max(s[0], 1e-300)
         estimates = beta * np.abs(Zh[:rank, k - 1])
-        if 0 < block_start < k:
-            # the closed blocks' estimates read zero, so the open block's own
-            # leading Ritz value must have converged too: until it has, a
-            # larger singular value may still lie outside the Krylov space
+        if closed is not None:
+            # a block started from a random direction holds the largest
+            # singular value outside the blocks before it, so when its
+            # leading one is within the floor of sigma_rank of all closed
+            # blocks, nothing outside them is larger
+            lead = np.linalg.svd(T[closed:k, closed:k], compute_uv=False)[0]
+            estimates = np.append(estimates, lead - (s[rank - 1] if k >= rank else 0.0))
+        elif 0 < block_start < k:
+            # the open block's own leading Ritz value must have converged
+            # too: until it has, a larger singular value may still lie
+            # outside the Krylov space
             lead = np.linalg.svd(T[block_start:k, block_start:k])[2][0, -1]
             estimates = np.append(estimates, beta * abs(lead))
         if np.all(estimates <= floor):
             W_r, Z_r, sigma = W[:, :rank], Zh[:rank].conj().T, s[:rank]
             V, U = Q[:k].T @ Z_r, np.conj(Q[:k].T @ np.conj(W_r))
-            # the estimate presumes A^T = A; confirm with residuals, and raise
-            # if they fail: more steps cannot help. By linearity A V is the
-            # stored products times Z_r, and for a symmetric operator
-            # A* U = conj(A conj(U)) = conj(AQ^T conj(W_r)), so the check
-            # costs no further apply
-            RV, RU = AQ[:k].T @ Z_r, np.conj(AQ[:k].T @ np.conj(W_r))
-            RV -= U * sigma
-            RU -= V * sigma
-            if max(_worst_column_sq(RV), _worst_column_sq(RU)) > (10.0 * floor) ** 2:
+            # the estimate presumes A^T = A; confirm with the residual
+            # A V - U S, and raise if it fails: more steps cannot help. By
+            # linearity A V is the stored products times Z_r, so the check
+            # costs no further apply; A* U - V S would repeat it wherever
+            # sigma is simple (module docstring)
+            R = AQ[:k].T @ Z_r
+            R -= U * sigma
+            if _worst_column_sq(R) > (10.0 * floor) ** 2:
                 raise SvdConvergenceError(
                     f"singular triplets passed the Ritz estimates but failed residual "
                     f"verification after {k} Lanczos steps (n={n}); the operator is "
@@ -363,12 +371,12 @@ def project_rank(
     cut (sigma_rank equals sigma_rank+1) the retained invariant subspace is
     an arbitrary but seed-deterministic choice. Singular values that are zero
     or below 1e-12 of the largest are dropped, so the result can have rank
-    below the requested bound. Raises SvdConvergenceError instead of
-    returning silently inaccurate triplets. `seed` is a nonnegative integer.
-    `tol` must lie in (0, 0.1): the residuals are held to 10 tol sigma_1,
-    which at 0.1 or above no longer constrains the leading triplet. `rows`,
-    when given, lends the Lanczos path its row buffers and start vector; the
-    result never refers to them.
+    below the requested bound. For an operator with A^T = A, it raises
+    SvdConvergenceError instead of returning silently inaccurate triplets.
+    `seed` is a nonnegative integer. `tol` must lie in (0, 0.1): the
+    residuals are held to 10 tol sigma_1, which at 0.1 or above no longer
+    constrains the leading triplet. `rows`, when given, lends the Lanczos
+    path its row buffers and start vector; the result never refers to them.
     """
     rank, seed = checked_int("rank", rank, 1, op.n), checked_int("seed", seed, 0)
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < 0.1:  # NaN fails the range

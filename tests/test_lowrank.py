@@ -11,6 +11,7 @@ from lrhankel import (
     project_rank,
 )
 from lrhankel import lowrank
+from lrhankel.hankel import HankelVector, hankel_operator
 from lrhankel.lowrank import DENSE_THRESHOLD, LanczosRows, lowrank_dense
 
 
@@ -284,6 +285,9 @@ class TestTruncatedSvd:
         for i in range(rank):
             assert np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i]) <= 10 * tol * f.sigma[0]
             assert np.linalg.norm(np.conj(A @ f.U[:, i].conj()) - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
+            if eps <= 1e-12:
+                # below the residual threshold the true adjoint holds as well
+                assert np.linalg.norm(A.conj().T @ f.U[:, i] - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
 
     @pytest.mark.parametrize("rank", [4, 6])
     def test_breakdown_does_not_end_the_projection(self, rank):
@@ -296,6 +300,28 @@ class TestTruncatedSvd:
         assert f.rank == rank
         assert np.all(np.abs(f.sigma - 3.0) <= 1e-10 * 3.0)
         assert np.linalg.norm(f.U[20:]) <= 1e-9 and np.linalg.norm(f.V[20:]) <= 1e-9
+
+    @pytest.mark.parametrize("rank", [1, 2, 4, 8])
+    def test_flat_spectrum_stops_at_the_first_closed_blocks(self, rank):
+        # the Hankel matrix of an impulse is the exchange matrix, and Y Y^T is
+        # a random complex symmetric unitary: every singular value is 1, and
+        # each Krylov block closes after two steps. A closed block's Ritz
+        # values are exact, and a block from a random direction holds the
+        # largest value outside the blocks before it, so once rank values 1
+        # are found nothing larger can remain. n = 1001 is above the step cap
+        # up to rank 4
+        n = 1001
+        z = np.zeros(2 * n - 1)
+        z[n - 1] = 1.0
+        H = hankel_operator(HankelVector(n, z))
+        Y = random_unitary(600, np.random.default_rng(19))
+        for op in (H, dense_operator(Y @ Y.T, materialize=False)):
+            applies = []
+            counted = LinearOperator(op.n, lambda v: applies.append(1) or op.apply(v), None)
+            f = project_rank(counted, rank, seed=0)
+            assert f.rank == rank
+            assert np.all(np.abs(f.sigma - 1.0) <= 1e-10)
+            assert len(applies) <= rank + 2
 
     def test_rank_deficient_operator_stops_at_its_range(self):
         # a fresh direction that the operator maps to zero shows that nothing
