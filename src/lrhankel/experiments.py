@@ -158,8 +158,8 @@ def run_bench(
             start = time.perf_counter()
             result = solve(inst.obs, run_cfg)
             best = min(best, time.perf_counter() - start)
-        # the O(n r) footprint of LowRankFactors: complex U and V, real sigma
-        factor_bytes = 2 * n * rank * 16 + rank * 8
+        # the O(n r) footprint of LowRankFactors: complex X, real sigma
+        factor_bytes = n * rank * 16 + rank * 8
         rows.append(BenchRow(n, rank, samples, best, result.iterations, factor_bytes))
     return rows
 

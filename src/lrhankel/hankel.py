@@ -109,47 +109,37 @@ def hankel_dense(h: HankelVector) -> np.ndarray:
 
 
 def hankel_operator(h: HankelVector) -> LinearOperator:
-    """Matvec contract for H(z), both products in O(n log n).
+    """Matvec contract for H(z) in O(n log n), and its dense matrix on request.
 
     H v is the middle of the correlation of z with v: ifft(fft(z) fft(rev v)).
-    H is complex symmetric, so H* v = conj(H conj(v)); carried through the
-    transforms, that is fft(conj(fft(z)) ifft(rev v)), the same bits with no
-    conjugation of v (the length is a power of two, so moving the 1/length
-    scale is exact). No solver path calls the adjoint, so its conjugated
-    spectrum is taken per call, not kept. The spectral product is taken in
-    place, in the array the first transform returns; the operator keeps
-    nothing between calls.
+    The spectral product is taken in place, in the array the first transform
+    returns; the operator keeps only fft(z) between calls. H is complex
+    symmetric, so it needs no adjoint.
     """
     n = h.n
     length = fft_length(n)
     zf = np.fft.fft(h.values, length)
 
-    def product(v, first, spectrum, second):
-        x = first(checked_vector(v, n)[::-1], length)
-        np.multiply(spectrum, x, out=x)
-        return second(x)[n - 1 : 2 * n - 1]
+    def apply(v):
+        x = np.fft.fft(checked_vector(v, n)[::-1], length)
+        np.multiply(zf, x, out=x)
+        return np.fft.ifft(x)[n - 1 : 2 * n - 1]
 
-    return LinearOperator(
-        n=n,
-        apply=lambda v: product(v, np.fft.fft, zf, np.fft.ifft),
-        apply_adjoint=lambda v: product(v, np.fft.ifft, np.conj(zf), np.fft.fft),
-        materialize=lambda: hankel_dense(h),
-    )
+    return LinearOperator(n=n, apply=apply, materialize=lambda: hankel_dense(h))
 
 
 def antidiag_sums_lowrank(f: LowRankFactors) -> np.ndarray:
-    """Anti-diagonal sums of U diag(sigma) V*, in O(n r log n).
+    """Anti-diagonal sums of X diag(sigma) X^T, in O(n r log n).
 
-    Each rank-one term contributes the linear convolution of sigma_r * u_r
-    with conj(v_r); the terms are summed in the transform domain.
+    Each rank-one term sigma_r x_r x_r^T contributes sigma_r times the
+    linear convolution of x_r with itself, so one batch of forward
+    transforms serves: ifft(sum_r sigma_r fft(x_r)^2).
     """
     n = f.n
-    length = fft_length(n)
     # one contiguous row per rank-one term: row FFTs beat axis-0 column FFTs
-    uf = np.fft.fft(np.multiply(f.U.T, f.sigma[:, None], order="C"), length)
-    vf = np.fft.fft(np.conjugate(f.V.T, order="C"), length)
-    uf *= vf
-    return np.fft.ifft(uf.sum(axis=0))[: 2 * n - 1]
+    xf = np.fft.fft(np.ascontiguousarray(f.X.T), fft_length(n))
+    xf *= xf
+    return np.fft.ifft(f.sigma @ xf)[: 2 * n - 1]
 
 
 def project_hankel_blend(

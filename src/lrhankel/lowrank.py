@@ -1,55 +1,51 @@
 """Rank-R projection over a matrix-free linear-operator contract.
 
 Iterates of the solver are square complex matrices that are never formed
-densely. They are handled either as rank factorizations (U, sigma, V) or
-through matvec callbacks. Every operator the solver projects is complex
-symmetric: H(z)^T = H(z), the rank-R truncation of a complex symmetric
-matrix is again complex symmetric, and so is every blend of the two. So
-project_rank takes only operators with A^T = A, and computes the best
-rank-R approximation by complex-symmetric Lanczos (Bunse-Gerstner and
-Gragg, 1988; Luk and Qiao, 2003) with full reorthogonalization. It keeps
-one orthonormal basis Q: step k makes one apply A q_k and orthogonalizes
-conj(A q_k) against q_0..q_k by two passes of classical Gram-Schmidt,
-which gives A Q = conj(Q) T + beta_k conj(q_k+1) e_k^T with T = Q^T A Q
-complex symmetric tridiagonal (alpha_k = q_k^T A q_k on the diagonal, the
-real beta_k off it). From T = W S Z*, the Ritz triplets are U = conj(Q) W,
-S and V = Q Z, and beta_k |Z[k-1, j]| is the residual of triplet j. The
-Ritz estimates are checked every second step from R + 1 steps up to
-4 max(R, 8), then every max(R, 8) steps; once they pass, the triplets
-are confirmed by their residual, and a failed confirmation raises at
-once. The recurrence keeps every product A q_k it makes, so A V - U S is
-those rows times Z: it applies the operator no further, and apply_adjoint
-is never called. For a complex symmetric A, W = conj(Z) up to a phase per
-column wherever sigma is simple, so A* U - V S = conj(A conj(U)) - V S
-would repeat that residual column by column. An operator whose asymmetry
-is well above the residual threshold fails it. The check compares squared
-column sums, taken on the float view of the residual, with the square of
-its threshold. A beta that vanishes before step n closes an invariant
-Krylov block, whose Ritz values are exact; larger singular values may lie
-outside it. Every block starts from a random direction, so it holds the
-largest singular value outside the blocks before it: once that is within
-the residual floor of sigma_R of all closed blocks, nothing outside them
-is larger, and the projection ends; else the recurrence goes on from a
-fresh random direction, and the leading Ritz value of the open block must
-converge as well. Lanczos costs a fixed overhead plus about 2R steps,
-while a dense SVD costs the same at every rank, so where
-n <= DENSE_CROSSOVER (R + 6) an operator that can materialize itself
-takes a plain dense SVD instead. Either way one cut applies: singular
-values that are zero or below 1e-12 of the largest are dropped.
+densely: they are held as a Takagi factor or reached through matvec
+callbacks. Every operator the solver projects is complex symmetric
+(H(z)^T = H(z), and so is its blend with any X diag(sigma) X^T), so
+project_rank takes only operators with A^T = A and returns the best
+rank-R approximation in the same form, X diag(sigma) X^T with X* X = I
+(Takagi; Bunse-Gerstner and Gragg, 1988): one n-by-R factor, no adjoint.
+
+Both paths find the leading right singular vectors V first, extend them
+to the end of any cluster of singular values that the rank cuts (only a
+whole cluster's conj(V) spans its left vectors), and take X = conj(V) Y
+from the Takagi vectors Y of C = V^T A V: the eigenvectors of
+[[Re C, Im C], [Im C, -Re C]] for its eigenvalues +sigma. The dense path
+checks M - M^T on the materialized matrix M and takes V from its SVD.
+Where n > DENSE_CROSSOVER (R + 6), or the operator cannot materialize,
+complex-symmetric Lanczos (Bunse-Gerstner and Gragg, 1988; Luk and Qiao,
+2003) with full reorthogonalization is cheaper: it costs a fixed overhead
+plus about 2R steps, where a dense SVD costs the same at every rank. It
+keeps one orthonormal basis Q: step k makes one apply A q_k and
+orthogonalizes conj(A q_k) against q_0..q_k by two passes of classical
+Gram-Schmidt, so A Q = conj(Q) T + beta_k conj(q_k+1) e_k^T with
+T = Q^T A Q complex symmetric tridiagonal. From T = W S Z*, V = Q Z, and
+beta_k |Z[k-1, j]| is the residual of Ritz pair j. The estimates are
+checked every second step from R + 1 steps up to 4 max(R, 8), then every
+max(R, 8) steps. Once they pass, two checks read the products A q_k the
+recurrence kept, with no further apply, and either failure raises at
+once: Q^T A Q must be symmetric to SYMMETRY_TOL, which sees only the part
+of A - A^T that acts within span Q, and the residual A conj(X) - X S, the
+stored products times Z conj(Y), must lie within 10 tol sigma_1. A beta
+at or below tol times the largest alpha or beta so far closes a Krylov
+block, invariant to within tol, so its Ritz values hold; larger singular
+values may lie outside it. Every block starts from a random direction, so
+it holds the largest singular value outside the blocks before it: once
+that is within the residual floor of sigma_R of all closed blocks,
+nothing outside them is larger, and the projection ends; else the
+recurrence goes on from a fresh random direction, and the leading Ritz
+value of the open block must converge as well. Both paths drop singular
+values that are zero or below 1e-12 of the largest.
 
 The two row buffers of the recurrence (the basis q_k and the products
-A q_k) live in a LanczosRows that the caller may hold across projections:
-solve keeps one for the length of the solve, so each projection writes
-into rows already paged in and only grows them when a projection needs
-more. The same LanczosRows keeps the seeded start vector, drawn once per
-(n, seed), and the generator a breakdown draws on from. Without one, a
-projection allocates its own. A LanczosRows belongs to one solve at a
-time; it is never module state, because threads share the module.
-
-Lanczos reaches an operator only through its callbacks, so the operator
-sets what an apply costs. The solver's blend operator is one gemv on its
-dense matrix, built once per operator, at n <= 128 (solver.GEMV_MAX_N),
-and the FFT blend above that.
+A q_k), the seeded start vector, drawn once per (n, seed), and the
+generator a breakdown draws on live in a LanczosRows. solve holds one for
+its length, so each projection writes into rows already paged in and grows
+them only when it needs more; without one, a projection allocates its own.
+A LanczosRows serves one solve at a time and is never module state,
+because threads share the module.
 
 Everything in this package runs in O(n R) memory. Dense n-by-n matrices
 are allowed up to DENSE_THRESHOLD, for the dense SVD, the gemv blend and
@@ -70,6 +66,9 @@ DENSE_THRESHOLD = 256
 # above n = DENSE_CROSSOVER * (rank + 6), Lanczos beat the dense SVD in every
 # cell measured at n = 16..256 on mid-solve blend operators (CHANGES.md)
 DENSE_CROSSOVER = 7
+# largest ||P - P^T|| / ||P|| (P = Q^T A Q or M) taken as A^T = A: 70x every
+# ratio measured on the solver's operators and tests (CHANGES.md)
+SYMMETRY_TOL = 1e-11
 
 
 def checked_int(name: str, value, low: int, high: int | None = None) -> int:
@@ -111,40 +110,34 @@ def ensure_dense_allowed(n: int, context: str) -> None:
 
 
 class SvdConvergenceError(RuntimeError):
-    """The rank projection failed to converge or to verify its triplets."""
+    """The rank projection failed to converge or to verify its result."""
 
 
 @dataclass(frozen=True)
 class LowRankFactors:
-    """A rank-r matrix U @ diag(sigma) @ V* stored in O(n r) memory.
+    """A complex symmetric rank-r matrix X @ diag(sigma) @ X^T stored in O(n r) memory.
 
-    U and V are n-by-r with orthonormal columns; sigma is nonnegative and
-    nonincreasing. r == 0 encodes the zero matrix.
+    X is n-by-r with orthonormal columns (X^* X = I); sigma is nonnegative
+    and nonincreasing. r == 0 encodes the zero matrix.
     """
 
     n: int
-    U: np.ndarray
+    X: np.ndarray
     sigma: np.ndarray
-    V: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int("factor dimension n", self.n, 1))
-        U = np.array(self.U, dtype=np.complex128, copy=True)
-        V = np.array(self.V, dtype=np.complex128, copy=True)
+        X = np.array(self.X, dtype=np.complex128, copy=True)
         sigma = np.array(self.sigma, dtype=np.float64, copy=True)
         r = sigma.shape[0] if sigma.ndim == 1 else -1
-        if U.shape != (self.n, r) or V.shape != (self.n, r):
-            raise ValueError(
-                f"inconsistent factor shapes: U {U.shape}, sigma {sigma.shape}, "
-                f"V {V.shape} for n={self.n}"
-            )
+        if X.shape != (self.n, r):
+            raise ValueError(f"inconsistent factor shapes: X {X.shape}, sigma {sigma.shape} for n={self.n}")
         if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
-        for a in (U, sigma, V):
+        for a in (X, sigma):
             a.setflags(write=False)
-        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "V", V)
 
     @property
     def rank(self) -> int:
@@ -152,8 +145,7 @@ class LowRankFactors:
 
     @classmethod
     def zero(cls, n: int) -> "LowRankFactors":
-        empty = np.zeros((n, 0), dtype=np.complex128)
-        return cls(n, empty, np.zeros(0), empty.copy())
+        return cls(n, np.zeros((n, 0), dtype=np.complex128), np.zeros(0))
 
     def frobenius_sq(self) -> float:
         return float(np.sum(self.sigma**2))
@@ -161,17 +153,19 @@ class LowRankFactors:
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Square operator given by matvec callbacks.
+    """Square complex symmetric operator given by matvec callbacks.
 
     `materialize`, when provided, returns the dense matrix; project_rank
     uses it where a dense SVD is the cheaper path and the dense threshold
     allows it, and otherwise runs Lanczos on `apply` alone, so correctness
-    never depends on it. project_rank never calls `apply_adjoint`.
+    never depends on it.
     """
 
     n: int
     apply: Callable[[np.ndarray], np.ndarray]
-    apply_adjoint: Callable[[np.ndarray], np.ndarray]
+    # never set or called: perfbench/tracing.py passes it to dataclasses.replace,
+    # and the next benchmark change deletes both
+    apply_adjoint: Optional[Callable[[np.ndarray], np.ndarray]] = None
     materialize: Optional[Callable[[], np.ndarray]] = None
 
     def __post_init__(self):
@@ -181,7 +175,7 @@ class LinearOperator:
 def lowrank_dense(f: LowRankFactors) -> np.ndarray:
     """Dense n-by-n matrix of the factorization, for the dense SVD path and oracles."""
     ensure_dense_allowed(f.n, "lowrank_dense")
-    return (f.U * f.sigma) @ f.V.conj().T
+    return (f.X * f.sigma) @ f.X.T
 
 
 class LanczosRows:
@@ -248,8 +242,44 @@ def _worst_column_sq(R: np.ndarray) -> float:
     return float((sq[0::2] + sq[1::2]).max())
 
 
+def _check_symmetric(M: np.ndarray, where: str) -> None:
+    """Raise SvdConvergenceError if ||M - M^T|| exceeds SYMMETRY_TOL ||M||."""
+    asym, norm = np.linalg.norm(M - M.T), np.linalg.norm(M)
+    if asym > SYMMETRY_TOL * norm:
+        raise SvdConvergenceError(
+            f"the operator is not complex symmetric: ||P - P^T|| = {asym / norm:.1e} ||P|| for P = {where}"
+        )
+
+
+def _cluster_end(s: np.ndarray, rank: int, tol: float) -> int:
+    """min(rank, len(s)), extended past every later value within 1e-16 sigma_R / tol of sigma_R.
+
+    An SVD vector is accurate to about eps sigma_1 / gap, so a cut across a larger gap leaves
+    a Takagi residual below 2.2 tol sigma_1, under the 10 tol sigma_1 that Lanczos verifies.
+    """
+    r = min(rank, s.shape[0])
+    return r + int(np.count_nonzero(s[r:] >= (1.0 - 1e-16 / tol) * s[r - 1]))
+
+
+def _takagi(W: np.ndarray, s: np.ndarray, Zh: np.ndarray, rank: int, tol: float):
+    """Leading `rank` Takagi pairs (B, sigma) of a complex symmetric A = W S Z*, with A conj(B) = B S.
+
+    B = conj(Z) Y, with Z cut at _cluster_end: an eigenvector [a; b] of
+    [[Re C, Im C], [Im C, -Re C]], C = Z^T A Z = Z^T W S, with eigenvalue
+    sigma > 0 gives C conj(y) = sigma y for y = a + i b.
+    """
+    m = _cluster_end(s, rank, tol)
+    r = min(rank, m)
+    C = (np.conj(Zh[:m]) @ W[:, :m]) * s[:m]
+    # two concatenates: np.block took three times as long on these small blocks
+    re, im = C.real, C.imag
+    values, E = np.linalg.eigh(np.concatenate((np.concatenate((re, im), 1), np.concatenate((im, -re), 1))))
+    top = E[:, ::-1][:, :r]
+    return Zh[:m].T @ (top[:m] + 1j * top[m:]), values[::-1][:r]
+
+
 def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
-    """Leading `rank` Ritz triplets (U, sigma, V) of a complex symmetric operator, verified by their residuals."""
+    """Leading `rank` Takagi pairs (X, sigma) of a complex symmetric operator, verified from the stored products."""
     n = op.n
     q, start_rng = rows.start(n, seed)
     rng = None
@@ -263,7 +293,7 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         return _fresh_direction(rng, basis, k, n)
 
     # the cap bounds what a projection that never converges can cost; it is
-    # n for every n <= 1066 at rank 8, where beta = 0 makes the triplets exact
+    # n for every n <= 1066 at rank 8, where beta = 0 makes the pairs exact
     block = max(rank, 8)
     max_steps = min(n, max(2 * rank + 10, 16) + block * (10 * rank + 50))
     next_check = rank + 1
@@ -295,10 +325,10 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         closed = None  # the start of a block that closed at this step
         if k == n:
             beta = 0.0
-        elif beta <= 1e-14 * max(scale, 1.0):
-            # the block's Krylov space is invariant and its Ritz values are
-            # exact, but larger ones may lie outside it: check whether any
-            # can, and go on from a fresh direction if so
+        elif beta <= tol * scale:
+            # the block's Krylov space is invariant to within tol, but larger
+            # singular values may lie outside it: check whether any can, and
+            # go on from a fresh direction if so
             beta = 0.0
             closed, block_start = block_start, k
             check = True
@@ -313,12 +343,10 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         # a Ritz SVD costs O(k^3): check every second step while k is small,
         # then every `block` steps
         next_check = k + (2 if k < 4 * block else block)
-
-        # A Q = conj(Q) T + beta conj(q_k+1) e_k^T with T = Q^T A Q complex
-        # symmetric tridiagonal; from T = W S Z*, V = Q Z and U = conj(Q) W
+        # the estimates cover the cluster that the rank cuts, as _takagi keeps it whole
         W, s, Zh = np.linalg.svd(T[:k, :k])
         floor = tol * max(s[0], 1e-300)
-        estimates = beta * np.abs(Zh[:rank, k - 1])
+        estimates = beta * np.abs(Zh[: _cluster_end(s, rank, tol), k - 1])
         if closed is not None:
             # a block started from a random direction holds the largest
             # singular value outside the blocks before it, so when its
@@ -333,58 +361,58 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
             lead = np.linalg.svd(T[block_start:k, block_start:k])[2][0, -1]
             estimates = np.append(estimates, beta * abs(lead))
         if np.all(estimates <= floor):
-            W_r, Z_r, sigma = W[:, :rank], Zh[:rank].conj().T, s[:rank]
-            V, U = Q[:k].T @ Z_r, np.conj(Q[:k].T @ np.conj(W_r))
-            # the estimate presumes A^T = A; confirm with the residual
-            # A V - U S, and raise if it fails: more steps cannot help. By
-            # linearity A V is the stored products times Z_r, so the check
-            # costs no further apply; A* U - V S would repeat it wherever
-            # sigma is simple (module docstring)
-            R = AQ[:k].T @ Z_r
-            R -= U * sigma
+            # the estimates presume A^T = A: confirm it on span Q, then the
+            # pairs by A conj(X) - X S; more steps cannot mend either failure
+            _check_symmetric(Q[:k] @ AQ[:k].T, f"Q^T A Q over {k} Lanczos vectors (n={n})")
+            B, sigma = _takagi(W, s, Zh, rank, tol)
+            G = np.conj(B)
+            X = np.conj(Q[:k].T @ G)
+            R = AQ[:k].T @ G
+            R -= X * sigma
             if _worst_column_sq(R) > (10.0 * floor) ** 2:
                 raise SvdConvergenceError(
-                    f"singular triplets passed the Ritz estimates but failed residual "
+                    f"Takagi pairs passed the Ritz estimates but failed residual "
                     f"verification after {k} Lanczos steps (n={n}); the operator is "
                     f"likely not complex symmetric (A^T != A), or tol={tol:g} is below "
                     f"the accuracy its residuals can reach"
                 )
-            return U, sigma, V
+            return X, sigma
 
     raise SvdConvergenceError(
         f"complex-symmetric Lanczos did not reach tol={tol:g} for the leading "
-        f"{rank} singular triplets within {max_steps} steps (n={n})"
+        f"{rank} singular values within {max_steps} steps (n={n})"
     )
 
 
 def project_rank(
     op: LinearOperator, rank: int, tol: float = 1e-10, seed: int = 0, rows: Optional[LanczosRows] = None
 ) -> LowRankFactors:
-    """Best rank-`rank` approximation of a complex symmetric operator (Eckart-Young truncation).
+    """Best rank-`rank` approximation X diag(sigma) X^T of a complex symmetric operator (Eckart-Young).
 
     The operator must satisfy A^T = A, as every operator the solver builds
-    does. One that does not raises SvdConvergenceError once its asymmetry
-    shows in the residuals: at tol = 1e-10 and n = 300, a rank-one
-    asymmetry of 1e-6 of the norm raised and one of 1e-8 did not. Only
-    `apply`, and `materialize` where the dense path is taken, are called.
-    Deterministic for a fixed seed. When the spectrum is degenerate at the
-    cut (sigma_rank equals sigma_rank+1) the retained invariant subspace is
-    an arbitrary but seed-deterministic choice. Singular values that are zero
-    or below 1e-12 of the largest are dropped, so the result can have rank
-    below the requested bound. For an operator with A^T = A, it raises
-    SvdConvergenceError instead of returning silently inaccurate triplets.
-    `seed` is a nonnegative integer. `tol` must lie in (0, 0.1): the
-    residuals are held to 10 tol sigma_1, which at 0.1 or above no longer
-    constrains the leading triplet. `rows`, when given, lends the Lanczos
-    path its row buffers and start vector; the result never refers to them.
+    does. One that does not raises SvdConvergenceError: the dense path
+    checks M - M^T, and Lanczos checks Q^T A Q, which sees the asymmetry
+    acting within its Krylov space (at n = 300, a rank-one asymmetry of
+    1e-8 of the norm raised). Only `apply`, and `materialize` on the dense
+    path, are called. Deterministic for a fixed seed. Where the rank cuts a
+    cluster of equal singular values, X spans an arbitrary but
+    seed-deterministic part of it. Singular values that are zero or below
+    1e-12 of the largest are dropped, so the result can have rank below the
+    requested bound. For an operator with A^T = A, it raises instead of
+    returning silently inaccurate pairs. `seed` is a nonnegative integer.
+    `tol` must lie in (0, 0.1): the residuals are held to 10 tol sigma_1,
+    which at 0.1 or above no longer constrains the leading pair. `rows`,
+    when given, lends the Lanczos path its row buffers and start vector;
+    the result never refers to them.
     """
     rank, seed = checked_int("rank", rank, 1, op.n), checked_int("seed", seed, 0)
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < 0.1:  # NaN fails the range
         raise ValueError(f"tol must be a number in (0, 0.1), got {tol}")
     if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):
-        U, s, Vh = np.linalg.svd(op.materialize(), full_matrices=False)
-        U, s, V = U[:, :rank], s[:rank], Vh[:rank].conj().T
+        M = op.materialize()
+        _check_symmetric(M, f"the materialized {op.n}x{op.n} operator")
+        X, s = _takagi(*np.linalg.svd(M), rank, tol)
     else:
-        U, s, V = _lanczos_symmetric(op, rank, tol, seed, LanczosRows() if rows is None else rows)
+        X, s = _lanczos_symmetric(op, rank, tol, seed, LanczosRows() if rows is None else rows)
     r = int(np.count_nonzero((s > 0) & (s >= 1e-12 * s[0])))
-    return LowRankFactors(op.n, U[:, :r], s[:r], V[:, :r])
+    return LowRankFactors(op.n, X[:, :r], s[:r])

@@ -109,8 +109,8 @@ def relative_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 def extract_frequencies(z_hat, order: int) -> np.ndarray:
     """Recover `order` frequencies from a (near) rank-`order` Hankel parameter vector.
 
-    Takes the leading left singular subspace of H(z) and solves the
-    one-step shift-invariance relation U[:-1] @ Psi = U[1:]; the eigenvalue
+    Solves X[:-1] @ Psi = X[1:] for the Takagi factor X of H(z), which spans
+    its leading left singular subspace (shift invariance); the eigenvalue
     phases of Psi are the frequencies, returned sorted ascending in [0, 1).
     """
     h = z_hat if isinstance(z_hat, HankelVector) else HankelVector.from_signal(z_hat)
@@ -120,7 +120,7 @@ def extract_frequencies(z_hat, order: int) -> np.ndarray:
         raise PencilConditionError(
             f"Hankel matrix has numerical rank {f.rank}, below the requested order {order}"
         )
-    top, bottom = f.U[:-1], f.U[1:]
+    top, bottom = f.X[:-1], f.X[1:]
     shift, _, rank, sv = np.linalg.lstsq(top, bottom, rcond=None)
     if rank < order or sv[-1] <= 1e-12 * sv[0]:
         raise PencilConditionError(

@@ -113,15 +113,12 @@ GEMV_MAX_N = 128
 
 
 def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearOperator:
-    """(1-delta1)*L + delta1*H(z) as a matvec contract.
+    """(1-delta1)*L + delta1*H(z) as a complex symmetric matvec contract, L = X diag(sigma) X^T.
 
     At n <= GEMV_MAX_N the dense blend M is built once, in O(n^2) memory;
-    `apply` and `apply_adjoint` are M v and M* v, and `materialize` returns
-    M itself, read-only. Above it an apply costs O(n r + n log n), through
-    the factors and the Hankel FFT, and `materialize` builds M on request.
-    The blend is complex symmetric, and project_rank calls only `apply`,
-    so what only the adjoint needs (M*, the conjugated rows of U) is taken
-    inside `apply_adjoint`, per call.
+    `apply` is M v, and `materialize` returns M itself, read-only. Above it
+    an apply costs O(n r + n log n), through the Hankel FFT and X diag(c
+    sigma) X^T from one contiguous X^T, and `materialize` builds M on request.
     """
     if f.n != h.n:
         raise ValueError(f"dimension mismatch: factors n={f.n}, h n={h.n}")
@@ -133,36 +130,20 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
     if n <= GEMV_MAX_N:
         M = dense()
         M.setflags(write=False)
-        return LinearOperator(
-            n=n,
-            apply=lambda v: M @ checked_vector(v, n),
-            apply_adjoint=lambda v: np.conj(M.T) @ checked_vector(v, n),
-            materialize=lambda: M,
-        )
+        return LinearOperator(n=n, apply=lambda v: M @ checked_vector(v, n), materialize=lambda: M)
     hop = hankel_operator(h)
-    # conjugated rows, made contiguous once per operator, not once per apply
-    Vh = np.conjugate(f.V.T, order="C")
-
-    def blend(hv, X, Yh, v):
-        # hv is the Hankel product, a fresh array: the sum accumulates in it
-        hv *= delta1
-        low = X @ (f.sigma * (Yh @ v))
-        low *= c
-        hv += low
-        return hv
+    # rows of X^T, made contiguous once per operator, not once per apply
+    Xt = np.ascontiguousarray(f.X.T)
+    csigma = c * f.sigma
 
     def apply(v):
-        return blend(hop.apply(v), f.U, Vh, v)
+        # the Hankel product is a fresh array: the sum accumulates in it
+        hv = hop.apply(v)
+        hv *= delta1
+        hv += Xt.T @ (csigma * (Xt @ v))
+        return hv
 
-    def apply_adjoint(v):
-        return blend(hop.apply_adjoint(v), f.V, np.conj(f.U.T), v)
-
-    return LinearOperator(
-        n=n,
-        apply=apply,
-        apply_adjoint=apply_adjoint,
-        materialize=dense,
-    )
+    return LinearOperator(n=n, apply=apply, materialize=dense)
 
 
 def objective(f: LowRankFactors, h: HankelVector, sums: np.ndarray) -> float:

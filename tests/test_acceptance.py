@@ -54,7 +54,7 @@ def criterion(name, budget_seconds):
 def matrix_free(A):
     """A as an operator without `materialize`, so it takes the Lanczos path."""
     A = np.asarray(A, dtype=np.complex128)
-    return LinearOperator(n=A.shape[0], apply=lambda v: A @ v, apply_adjoint=lambda v: A.conj().T @ v)
+    return LinearOperator(n=A.shape[0], apply=lambda v: A @ v)
 
 
 def separated_spectrum_matrix(n, rng):
@@ -93,7 +93,7 @@ def test_rank_projection_matches_dense_svd_truncation():
             U, s, Vh = np.linalg.svd(A)
             oracle = (U[:, :r] * s[:r]) @ Vh[:r]
             f = project_rank(matrix_free(A), r, tol=1e-12, seed=case)
-            approx = (f.U * f.sigma) @ f.V.conj().T if f.rank else np.zeros_like(A)
+            approx = (f.X * f.sigma) @ f.X.T
             assert np.linalg.norm(approx - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
 
 
@@ -113,11 +113,7 @@ def test_factored_iterates_match_dense_reference(lanczos_only):
                 ref = dense_pgd_step(ref, inst.obs, cfg)
                 state = step(state, inst.obs, cfg)
                 assert np.linalg.norm(state.z.values - ref.z) <= 1e-8 * scale
-                factored = (
-                    (state.factors.U * state.factors.sigma) @ state.factors.V.conj().T
-                    if state.factors.rank
-                    else np.zeros((n, n))
-                )
+                factored = (state.factors.X * state.factors.sigma) @ state.factors.X.T
                 assert np.linalg.norm(factored - ref.L) <= 1e-8 * scale
 
 

@@ -35,7 +35,7 @@ def identity(v):
 
 
 def empty_factors(n):
-    return LowRankFactors(n, np.zeros((3, 0)), np.zeros(0), np.zeros((3, 0)))
+    return LowRankFactors(n, np.zeros((3, 0)), np.zeros(0))
 
 
 # (name in the message, call with the value, a numpy integer it takes, a

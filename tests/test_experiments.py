@@ -202,7 +202,7 @@ class TestBench:
         assert [(r.n, r.rank, r.samples) for r in rows1] == [(16, 1, 10), (32, 2, 20)]
         assert all(r.elapsed_seconds > 0 for r in rows1)
         assert [r.iterations for r in rows1] == [r.iterations for r in rows2]
-        assert rows1[0].factor_bytes == 2 * 16 * 1 * 16 + 8
+        assert rows1[0].factor_bytes == 16 * 1 * 16 + 8
 
     def test_empty_case_list(self):
         assert run_bench([], SolverConfig(rank=1), master_seed=0) == []

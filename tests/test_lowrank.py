@@ -18,22 +18,14 @@ from lrhankel.lowrank import DENSE_THRESHOLD, LanczosRows, lowrank_dense
 def dense_operator(A, materialize=True):
     """A as an operator; without `materialize` it takes the Lanczos path."""
     A = np.asarray(A, dtype=np.complex128)
-    return LinearOperator(
-        n=A.shape[0],
-        apply=lambda v: A @ v,
-        apply_adjoint=lambda v: A.conj().T @ v,
-        materialize=(lambda: A) if materialize else None,
-    )
+    return LinearOperator(n=A.shape[0], apply=lambda v: A @ v, materialize=(lambda: A) if materialize else None)
 
 
 def orthonormality_defect(f):
-    """Max deviation of U*U and V*V from the identity."""
+    """Max deviation of X*X from the identity."""
     if f.rank == 0:
         return 0.0
-    eye = np.eye(f.rank)
-    du = np.abs(f.U.conj().T @ f.U - eye).max()
-    dv = np.abs(f.V.conj().T @ f.V - eye).max()
-    return float(max(du, dv))
+    return float(np.abs(f.X.conj().T @ f.X - np.eye(f.rank)).max())
 
 
 def random_unitary(n, rng):
@@ -59,12 +51,7 @@ def small_gap_operator(n, r, applies):
     tail = 3.0 / 1.001 * (1.0 - 0.9 * np.linspace(0.0, 1.0, n - r) ** 3)
     s = np.concatenate([np.linspace(10.0, 3.0, r), tail])
     d = s * np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=n))
-    op = LinearOperator(
-        n,
-        apply=lambda v: applies.append(1) or d * v,
-        apply_adjoint=lambda v: applies.append(1) or np.conj(d) * v,
-    )
-    return op, s
+    return LinearOperator(n, apply=lambda v: applies.append(1) or d * v), s
 
 
 class TestFactors:
@@ -75,22 +62,24 @@ class TestFactors:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shapes"):
-            LowRankFactors(3, np.zeros((3, 2)), np.zeros(1), np.zeros((3, 2)))
+            LowRankFactors(3, np.zeros((3, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="nonincreasing"):
-            LowRankFactors(3, np.zeros((3, 2)), [1.0, 2.0], np.zeros((3, 2)))
+            LowRankFactors(3, np.zeros((3, 2)), [1.0, 2.0])
         with pytest.raises(ValueError, match="nonincreasing"):
-            LowRankFactors(3, np.zeros((3, 1)), [-1.0], np.zeros((3, 1)))
+            LowRankFactors(3, np.zeros((3, 1)), [-1.0])
 
     def test_storage_is_linear_in_n(self):
         n, r = 5001, 31
-        f = LowRankFactors(n, np.zeros((n, r)), np.zeros(r), np.zeros((n, r)))
-        nbytes = f.U.nbytes + f.sigma.nbytes + f.V.nbytes
-        assert nbytes == 2 * n * r * 16 + r * 8
+        f = LowRankFactors(n, np.zeros((n, r)), np.zeros(r))
+        nbytes = f.X.nbytes + f.sigma.nbytes
+        assert nbytes == n * r * 16 + r * 8
         assert nbytes < 0.02 * n * n * 16
 
     def test_elementary_outer_product(self):
-        f = LowRankFactors(3, np.eye(3)[:, :1], [2.0], np.eye(3)[:, 1:2])
-        assert np.allclose(lowrank_dense(f), 2 * np.outer(np.eye(3)[0], np.eye(3)[1]))
+        # X diag(sigma) X^T, a transpose and not a conjugate transpose
+        x = np.array([[1.0], [1j], [0.0]]) / np.sqrt(2)
+        f = LowRankFactors(3, x, [2.0])
+        assert np.allclose(lowrank_dense(f), [[1, 1j, 0], [1j, -1, 0], [0, 0, 0]])
 
     def test_zero_factors_give_positive_zero_bits(self):
         # the rank-0 product takes the general path: an empty sum is +0.0 everywhere
@@ -146,17 +135,48 @@ class TestTruncatedSvd:
             project_rank(op, 3, tol=1e-300)
         assert project_rank(op, 3, tol=0.099).rank == 3
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_dense_svd_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(6, 33))
-        r = int(rng.integers(1, 5))
-        A = random_spectrum_matrix(n, rng)
+    @pytest.mark.parametrize("case, rank, path", [
+        *(pytest.param(seed, None, "lanczos", id=str(seed)) for seed in range(8)),
+        # ranks that cut a cluster of equal singular values: the SVD's vectors
+        # there are any basis of the cluster, and X takes the cluster whole;
+        # "near" puts sigma_5 1.5e-6 below sigma_4, a gap across which the
+        # SVD's vectors at tol = 1e-12 are too coarse for a Takagi cut
+        *(pytest.param(case, rank, path, id=f"{case}-{rank}-{path}")
+          for case, rank in (("blocks", 4), ("blocks", 16), ("blocks", 18), ("diagonal", 4), ("near", 4))
+          for path in ("dense", "lanczos")),
+    ])
+    def test_matches_dense_svd_oracle(self, case, rank, path, request):
+        if path == "lanczos":
+            request.getfixturevalue("lanczos_only")
+        seed, r = 0, rank
+        if case == "blocks":
+            Y = random_unitary(64, np.random.default_rng(64))
+            A = (Y * np.repeat([3.0, 2.0, 1.0, 0.5], 16)) @ Y.T
+        elif case == "diagonal":
+            A = np.diag(np.repeat([3.0, 2.0, 1.0], 20))
+        elif case == "near":
+            s = 10.0 * 0.8 ** np.arange(64)
+            s[4] = s[3] * (1 - 1.5e-6)
+            Y = random_unitary(64, np.random.default_rng(65))
+            A = (Y * s) @ Y.T
+        else:
+            seed = case
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(6, 33))
+            r = int(rng.integers(1, 5))
+            A = random_spectrum_matrix(n, rng)
         U, s, Vh = np.linalg.svd(A)
-        oracle = (U[:, :r] * s[:r]) @ Vh[:r]
-        f = project_rank(dense_operator(A, materialize=False), r, tol=1e-12, seed=seed)
+        f = project_rank(dense_operator(A), r, tol=1e-12, seed=seed)
+        L = lowrank_dense(f)
         assert np.allclose(f.sigma, s[:r], rtol=1e-8)
-        assert np.linalg.norm(lowrank_dense(f) - oracle) <= 1e-8 * np.linalg.norm(oracle)
+        assert np.all(np.abs(f.sigma - s[:r]) <= 1e-12)
+        assert orthonormality_defect(f) <= 1e-12
+        # Eckart-Young: the error is the tail, whichever basis of a cut cluster X takes
+        assert abs(np.linalg.norm(A - L) - np.linalg.norm(s[r:])) <= 1e-12 * s[0]
+        assert np.abs(L - L.T).max() <= 1e-14 * s[0]
+        if s[r - 1] > s[r] * (1 + 1e-6):
+            oracle = (U[:, :r] * s[:r]) @ Vh[:r]
+            assert np.linalg.norm(L - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_residual_contract(self, seed):
@@ -166,7 +186,7 @@ class TestTruncatedSvd:
         tol = 1e-10
         f = project_rank(op, 3, tol=tol, seed=seed)
         for i in range(f.rank):
-            residual = np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i])
+            residual = np.linalg.norm(A @ f.X[:, i].conj() - f.sigma[i] * f.X[:, i])
             assert residual <= 10 * tol * f.sigma[0]
 
     def test_deterministic_given_seed(self):
@@ -174,9 +194,8 @@ class TestTruncatedSvd:
         A = random_spectrum_matrix(20, rng)
         f1 = project_rank(dense_operator(A, materialize=False), 3, seed=5)
         f2 = project_rank(dense_operator(A, materialize=False), 3, seed=5)
-        assert np.array_equal(f1.U, f2.U)
+        assert np.array_equal(f1.X, f2.X)
         assert np.array_equal(f1.sigma, f2.sigma)
-        assert np.array_equal(f1.V, f2.V)
 
     def test_orthonormal_output(self):
         rng = np.random.default_rng(10)
@@ -198,7 +217,7 @@ class TestTruncatedSvd:
             calls.append(n)
             return A
 
-        op = LinearOperator(n, lambda v: A @ v, lambda v: A.conj().T @ v, materialize)
+        op = LinearOperator(n, lambda v: A @ v, materialize=materialize)
         f = project_rank(op, rank, seed=0)
         assert len(calls) == int(dense)
         s = np.linalg.svd(A, compute_uv=False)[: f.rank]
@@ -207,29 +226,39 @@ class TestTruncatedSvd:
     def test_nonconvergence_is_reported(self):
         # an operator that is not complex symmetric breaks the recurrence's
         # invariants, so residuals cannot reach the tolerance at any Krylov
-        # dimension; its apply_adjoint is never called
+        # dimension
         rng = np.random.default_rng(12)
         for n, rank, tol in ((12, 2, 1e-14), (200, 8, 1e-10)):
             A = nonsymmetric_matrix(n, rng)
-            broken = LinearOperator(n, lambda v: A @ v, None)
-            with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
+            broken = LinearOperator(n, lambda v: A @ v)
+            with pytest.raises(SvdConvergenceError, match="not complex symmetric"):
                 project_rank(broken, rank, tol=tol, seed=0)
 
     def test_inconsistent_adjoint_fails_fast(self):
-        # A instead of a complex symmetric operator: the first residual
-        # verification fails, and the projection raises then instead of
-        # stepping on to k = n
+        # A instead of a complex symmetric operator: the first verification
+        # fails, and the projection raises then instead of stepping on to k = n
         n, rank = 300, 8
         A = nonsymmetric_matrix(n, np.random.default_rng(16))
         applies = []
-        broken = LinearOperator(
-            n,
-            apply=lambda v: applies.append(1) or A @ v,
-            apply_adjoint=lambda v: applies.append(1) or A.T @ v,
-        )
-        with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
+        broken = LinearOperator(n, apply=lambda v: applies.append(1) or A @ v)
+        with pytest.raises(SvdConvergenceError, match="not complex symmetric"):
             project_rank(broken, rank, seed=0)
         assert len(applies) <= 200
+
+    @pytest.mark.parametrize("eps, consistent", [(0.0, True), (1e-13, True), (1e-8, False)])
+    def test_dense_path_checks_symmetry(self, eps, consistent):
+        # the dense path checks M - M^T on the matrix it materializes, before
+        # its SVD and with no apply
+        n = 40
+        rng = np.random.default_rng(40)
+        A = random_spectrum_matrix(n, rng)
+        A = A + eps * np.linalg.norm(A) * np.outer(random_unitary(n, rng)[:, 0], random_unitary(n, rng)[:, 0])
+        op = LinearOperator(n, lambda v: pytest.fail("the dense path applied the operator"), materialize=lambda: A)
+        if not consistent:
+            with pytest.raises(SvdConvergenceError, match="not complex symmetric"):
+                project_rank(op, 4)
+            return
+        assert np.allclose(project_rank(op, 4).sigma, np.linalg.svd(A, compute_uv=False)[:4], rtol=1e-10)
 
     @pytest.mark.parametrize("kind", ["gaussian", "triangular", "separated", "skew part"])
     @pytest.mark.parametrize("n", [50, 300])
@@ -244,18 +273,18 @@ class TestTruncatedSvd:
             "separated": nonsymmetric_matrix(n, rng),
             "skew part": G + G.T + 1e-3 * (G - G.T),
         }[kind]
-        with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
+        with pytest.raises(SvdConvergenceError, match="not complex symmetric"):
             project_rank(dense_operator(A, materialize=False), 4, seed=0)
 
     @pytest.mark.parametrize("eps, consistent", [
-        (0.0, True), (1e-12, True), (1e-8, True), (1e-6, False), (1e-3, False),
+        (0.0, True), (1e-12, True), (1e-8, False), (1e-6, False), (1e-3, False),
     ])
     def test_verification_from_stored_products_keeps_its_strength(self, eps, consistent):
         # the operator is complex symmetric plus a rank-one nonsymmetric error
-        # of relative size eps: small errors must still yield triplets whose
-        # explicitly recomputed residuals pass, and large ones must still be
-        # caught. The adjoint is the one the contract implies, conj(A conj(u)),
-        # as the adjoint callback was before the contract narrowed
+        # of relative size eps: small errors must still yield pairs whose
+        # explicitly recomputed residuals pass, for A and for its true
+        # adjoint, and large ones must be caught. The symmetry of Q^T A Q
+        # catches 1e-8, which the residual alone did not
         n, rank, tol = 300, 8, 1e-10
         rng = np.random.default_rng(3)
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -264,30 +293,21 @@ class TestTruncatedSvd:
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         scale = eps * np.linalg.norm(S, 2) / (np.linalg.norm(a) * np.linalg.norm(b))
         A = S + scale * np.outer(a, b.conj())
-        calls = {"apply": 0, "apply_adjoint": 0}
-
-        def counted(name, M):
-            def fn(v):
-                calls[name] += 1
-                return M @ v
-            return fn
-
-        op = LinearOperator(n, counted("apply", A), counted("apply_adjoint", A.conj().T))
+        applies = []
+        op = LinearOperator(n, lambda v: applies.append(1) or A @ v)
         if not consistent:
-            with pytest.raises(SvdConvergenceError, match="likely not complex symmetric"):
+            with pytest.raises(SvdConvergenceError, match="not complex symmetric"):
                 project_rank(op, rank, tol=tol, seed=0)
             return
         f = project_rank(op, rank, tol=tol, seed=0)
-        # one apply per Lanczos step, none to verify, and no adjoint apply
-        assert calls["apply_adjoint"] == 0
-        assert calls["apply"] == 113
+        # one apply per Lanczos step and none to verify
+        assert len(applies) == 113
         assert f.rank == rank
         for i in range(rank):
-            assert np.linalg.norm(A @ f.V[:, i] - f.sigma[i] * f.U[:, i]) <= 10 * tol * f.sigma[0]
-            assert np.linalg.norm(np.conj(A @ f.U[:, i].conj()) - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
-            if eps <= 1e-12:
-                # below the residual threshold the true adjoint holds as well
-                assert np.linalg.norm(A.conj().T @ f.U[:, i] - f.sigma[i] * f.V[:, i]) <= 10 * tol * f.sigma[0]
+            # the pair (u, v) = (x, conj(x)): A v = sigma u and A* u = sigma v
+            x = f.X[:, i]
+            assert np.linalg.norm(A @ x.conj() - f.sigma[i] * x) <= 10 * tol * f.sigma[0]
+            assert np.linalg.norm(A.conj().T @ x - f.sigma[i] * x.conj()) <= 10 * tol * f.sigma[0]
 
     @pytest.mark.parametrize("rank", [4, 6])
     def test_breakdown_does_not_end_the_projection(self, rank):
@@ -299,7 +319,7 @@ class TestTruncatedSvd:
         f = project_rank(LinearOperator(60, lambda v: d * v, lambda v: d * v), rank)
         assert f.rank == rank
         assert np.all(np.abs(f.sigma - 3.0) <= 1e-10 * 3.0)
-        assert np.linalg.norm(f.U[20:]) <= 1e-9 and np.linalg.norm(f.V[20:]) <= 1e-9
+        assert np.linalg.norm(f.X[20:]) <= 1e-9
 
     @pytest.mark.parametrize("rank", [1, 2, 4, 8])
     def test_flat_spectrum_stops_at_the_first_closed_blocks(self, rank):
@@ -348,7 +368,7 @@ class TestTruncatedSvd:
         # the leading singular vectors span the first r coordinates, up to
         # the verified residual over the gap at the cut
         bound = 10 * 1e-10 * s[0] / (s[r - 1] - s[r])
-        assert np.linalg.norm(f.U[r:]) <= bound and np.linalg.norm(f.V[r:]) <= bound
+        assert np.linalg.norm(f.X[r:]) <= bound
 
     def test_shared_rows_give_the_bits_of_fresh_buffers(self, monkeypatch):
         # one LanczosRows serves projections of different n and rank, as it
@@ -384,7 +404,7 @@ class TestTruncatedSvd:
         for f, (op, rank) in zip(shared, cases):
             fresh = project_rank(op, rank, seed=1)
             assert f.rank == fresh.rank
-            for a, b in ((f.U, fresh.U), (f.sigma, fresh.sigma), (f.V, fresh.V)):
+            for a, b in ((f.X, fresh.X), (f.sigma, fresh.sigma)):
                 assert a.tobytes() == b.tobytes()
 
 
