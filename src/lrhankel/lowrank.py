@@ -36,16 +36,18 @@ it holds the largest singular value outside the blocks before it: once
 that is within the residual floor of sigma_R of all closed blocks,
 nothing outside them is larger, and the projection ends; else the
 recurrence goes on from a fresh random direction, and the leading Ritz
-value of the open block must converge as well. Both paths drop singular
-values that are zero or below 1e-12 of the largest.
+value of the open block must converge as well. The start vector comes
+from default_rng(seed) and the direction after a breakdown at step k from
+default_rng((seed, k)), so a projection is a function of the operator,
+rank, tol and seed alone. Both paths drop singular values that are zero or
+below 1e-12 of the largest.
 
 The two row buffers of the recurrence (the basis q_k and the products
-A q_k), the seeded start vector, drawn once per (n, seed), and the
-generator a breakdown draws on live in a LanczosRows. solve holds one for
-its length, so each projection writes into rows already paged in and grows
-them only when it needs more; without one, a projection allocates its own.
-A LanczosRows serves one solve at a time and is never module state,
-because threads share the module.
+A q_k) and the start vector, drawn once per (n, seed), live in a
+LanczosRows. solve holds one for its length, so each projection writes
+into rows already paged in and grows them only when it needs more; without
+one, a projection allocates its own. A LanczosRows serves one solve at a
+time and is never module state, because threads share the module.
 
 Everything in this package runs in O(n R) memory. Dense n-by-n matrices
 are allowed up to DENSE_THRESHOLD, for the dense SVD, the gemv blend and
@@ -53,7 +55,6 @@ as test oracles, and refused above it with DenseMaterializationError.
 That limit is a memory guard, not a cost crossover.
 """
 
-import copy
 import math
 import numbers
 import operator
@@ -182,24 +183,20 @@ class LanczosRows:
     """Row buffers of _lanczos_symmetric, reused by the projections of one caller.
 
     Rows past the current Lanczos step hold stale values and are never read.
-    It also holds the start vector of the last (n, seed) it served.
+    It also holds the read-only start vector of the last (n, seed) it served.
     """
 
     def __init__(self):
         self._buffers: tuple[np.ndarray, ...] = ()
         self._start: tuple = ()
 
-    def start(self, n: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
-        """The read-only unit start vector for (n, seed) and the generator just past its draws.
-
-        The generator is held for later projections: draw from a copy of it.
-        """
+    def start(self, n: int, seed: int) -> np.ndarray:
+        """The read-only unit start vector for (n, seed)."""
         if self._start[:2] != (n, seed):
-            rng = np.random.default_rng(seed)
-            v = _fresh_direction(rng, np.empty((0, n), dtype=np.complex128), 0, n)
+            v = _fresh_direction(np.random.default_rng(seed), np.empty((0, n), dtype=np.complex128), 0)
             v.setflags(write=False)
-            self._start = (n, seed, v, rng)
-        return self._start[2:]
+            self._start = (n, seed, v)
+        return self._start[2]
 
     def take(self, rows: int, n: int, keep: int = 0) -> tuple[np.ndarray, ...]:
         """Two (rows, n) buffers; when they must grow, the first `keep` rows carry over."""
@@ -213,8 +210,9 @@ class LanczosRows:
         return tuple(b[:rows] for b in held)
 
 
-def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int, n: int):
+def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int):
     """Random unit vector orthogonal to the first k rows of `basis`, or zero."""
+    n = basis.shape[1]
     for _ in range(5):
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = _reorthogonalize(w, basis[:k])
@@ -244,7 +242,7 @@ def _worst_column_sq(R: np.ndarray) -> float:
 
 def _check_symmetric(M: np.ndarray, where: str) -> None:
     """Raise SvdConvergenceError if ||M - M^T|| exceeds SYMMETRY_TOL ||M||."""
-    asym, norm = np.linalg.norm(M - M.T), np.linalg.norm(M)
+    asym, norm = _norm(M - M.T), _norm(M)
     if asym > SYMMETRY_TOL * norm:
         raise SvdConvergenceError(
             f"the operator is not complex symmetric: ||P - P^T|| = {asym / norm:.1e} ||P|| for P = {where}"
@@ -281,16 +279,7 @@ def _takagi(W: np.ndarray, s: np.ndarray, Zh: np.ndarray, rank: int, tol: float)
 def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
     """Leading `rank` Takagi pairs (X, sigma) of a complex symmetric operator, verified from the stored products."""
     n = op.n
-    q, start_rng = rows.start(n, seed)
-    rng = None
-
-    def fresh(basis, k):
-        # a breakdown draws on where the start vector's draws ended, from a
-        # copy, so the held generator serves the next projection unchanged
-        nonlocal rng
-        if rng is None:
-            rng = copy.deepcopy(start_rng)
-        return _fresh_direction(rng, basis, k, n)
+    q = rows.start(n, seed)
 
     # the cap bounds what a projection that never converges can cost; it is
     # n for every n <= 1066 at rank 8, where beta = 0 makes the pairs exact
@@ -332,7 +321,8 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
             beta = 0.0
             closed, block_start = block_start, k
             check = True
-            q = fresh(Q, k)
+            # from a stream keyed by (seed, k): no generator outlives a projection
+            q = _fresh_direction(np.random.default_rng((seed, k)), Q, k)
         else:
             # numpy divides complex by real through the reciprocal, so these
             # are the bits of w / beta, without the temporary

@@ -43,7 +43,7 @@ def empty_factors(n):
 SITES = {
     "LowRankFactors": ("factor dimension n", empty_factors, np.uint8(3), 3.0, 0),
     "LinearOperator": (
-        "operator dimension n", lambda v: LinearOperator(v, identity, identity), np.int64(3), 8.0, 0),
+        "operator dimension n", lambda v: LinearOperator(v, apply=identity), np.int64(3), 8.0, 0),
     "project_rank": ("rank", lambda v: project_rank(hankel_operator(HankelVector(8, Z)), v), np.int64(1), 2.0, 9),
     "HankelVector": ("Hankel dimension", lambda v: HankelVector(v, Z), np.int64(8), 8.0, 1),
     "ObservationSet": ("Hankel dimension", lambda v: ObservationSet(v, [0], [1.0]), np.int32(8), 8.0, 1),

@@ -316,7 +316,7 @@ class TestTruncatedSvd:
         # zero, yet 18 more singular values 3 lie outside it: the projection
         # goes on from a fresh direction until the open space has converged
         d = np.repeat([3.0, 2.0, 1.0], 20)
-        f = project_rank(LinearOperator(60, lambda v: d * v, lambda v: d * v), rank)
+        f = project_rank(LinearOperator(60, apply=lambda v: d * v), rank)
         assert f.rank == rank
         assert np.all(np.abs(f.sigma - 3.0) <= 1e-10 * 3.0)
         assert np.linalg.norm(f.X[20:]) <= 1e-9
@@ -337,7 +337,7 @@ class TestTruncatedSvd:
         Y = random_unitary(600, np.random.default_rng(19))
         for op in (H, dense_operator(Y @ Y.T, materialize=False)):
             applies = []
-            counted = LinearOperator(op.n, lambda v: applies.append(1) or op.apply(v), None)
+            counted = LinearOperator(op.n, apply=lambda v: applies.append(1) or op.apply(v))
             f = project_rank(counted, rank, seed=0)
             assert f.rank == rank
             assert np.all(np.abs(f.sigma - 1.0) <= 1e-10)
@@ -351,7 +351,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(18)
         Y = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0]
         applies = []
-        op = LinearOperator(n, lambda v: applies.append(1) or (Y * [5.0, 2.0]) @ (Y.T @ v), None)
+        op = LinearOperator(n, apply=lambda v: applies.append(1) or (Y * [5.0, 2.0]) @ (Y.T @ v))
         f = project_rank(op, 8, seed=0)
         assert np.all(np.abs(f.sigma - [5.0, 2.0]) <= 1e-10 * 5.0)
         assert len(applies) <= 10
@@ -378,8 +378,9 @@ class TestTruncatedSvd:
         # operator 2 Y Y^T has three equal singular values, so its Krylov
         # spaces close within a few steps: its later triplets come from the
         # fresh directions a breakdown draws. It runs twice after a
-        # projection at the same n and seed, so a held start vector or
-        # generator that moved would show in its bits
+        # projection at the same n and seed, so a held start vector that
+        # moved, or a breakdown draw that an earlier projection set, would
+        # show in its bits
         rng = np.random.default_rng(17)
         applies = []
         Y = random_unitary(60, rng)
