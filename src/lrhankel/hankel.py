@@ -136,8 +136,7 @@ def antidiag_sums_lowrank(f: LowRankFactors) -> np.ndarray:
     transforms serves: ifft(sum_r sigma_r fft(x_r)^2).
     """
     n = f.n
-    # one contiguous row per rank-one term: row FFTs beat axis-0 column FFTs
-    xf = np.fft.fft(np.ascontiguousarray(f.X.T), fft_length(n))
+    xf = np.fft.fft(f.X.T, fft_length(n))
     xf *= xf
     return np.fft.ifft(f.sigma @ xf)[: 2 * n - 1]
 

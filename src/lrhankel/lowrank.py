@@ -119,7 +119,9 @@ class LowRankFactors:
     """A complex symmetric rank-r matrix X @ diag(sigma) @ X^T stored in O(n r) memory.
 
     X is n-by-r with orthonormal columns (X^* X = I); sigma is nonnegative
-    and nonincreasing. r == 0 encodes the zero matrix.
+    and nonincreasing. r == 0 encodes the zero matrix. X is stored
+    column-major, so X.T is r contiguous rows: row FFTs beat axis-0 FFTs,
+    and gemv reads contiguous rows.
     """
 
     n: int
@@ -128,7 +130,7 @@ class LowRankFactors:
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int("factor dimension n", self.n, 1))
-        X = np.array(self.X, dtype=np.complex128, copy=True)
+        X = np.array(self.X, dtype=np.complex128, order="F", copy=True)
         sigma = np.array(self.sigma, dtype=np.float64, copy=True)
         r = sigma.shape[0] if sigma.ndim == 1 else -1
         if X.shape != (self.n, r):
@@ -224,9 +226,8 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int):
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # classical Gram-Schmidt, two passes ("twice is enough"), in place
-    if basis.shape[0]:
-        for _ in range(2):
-            x -= np.conj(basis @ np.conj(x)) @ basis
+    for _ in range(2):
+        x -= np.conj(basis @ np.conj(x)) @ basis
     return x
 
 

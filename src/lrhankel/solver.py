@@ -132,8 +132,7 @@ def blend_operator(f: LowRankFactors, h: HankelVector, delta1: float) -> LinearO
         M.setflags(write=False)
         return LinearOperator(n=n, apply=lambda v: M @ checked_vector(v, n), materialize=lambda: M)
     hop = hankel_operator(h)
-    # rows of X^T, made contiguous once per operator, not once per apply
-    Xt = np.ascontiguousarray(f.X.T)
+    Xt = f.X.T
     csigma = c * f.sigma
 
     def apply(v):

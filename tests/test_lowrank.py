@@ -13,6 +13,8 @@ from lrhankel import (
 from lrhankel import lowrank
 from lrhankel.hankel import HankelVector, hankel_operator
 from lrhankel.lowrank import DENSE_THRESHOLD, LanczosRows, lowrank_dense
+from lrhankel.signal import make_instance
+from lrhankel.solver import GEMV_MAX_N, SolverConfig, init_state, step
 
 
 def dense_operator(A, materialize=True):
@@ -90,6 +92,28 @@ class TestFactors:
         f = LowRankFactors.zero(DENSE_THRESHOLD + 1)
         with pytest.raises(DenseMaterializationError):
             lowrank_dense(f)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_x_is_a_read_only_column_major_copy(self, layout):
+        # X^T is r contiguous rows whatever layout X comes in; r >= 2, since
+        # an n-by-1 array is both C- and F-contiguous
+        rng = np.random.default_rng(3)
+        wide = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+        X = {"C": wide[:, :3].copy(), "F": np.asfortranarray(wide[:, :3]), "strided": wide[:, ::2]}[layout]
+        assert X.flags.c_contiguous == (layout == "C") and X.flags.f_contiguous == (layout == "F")
+        given = X.copy()
+        f = LowRankFactors(7, X, [3.0, 2.0, 1.0])
+        assert f.X.T.flags.c_contiguous
+        assert np.array_equal(f.X, given)
+        X[:] = 0.0
+        assert np.array_equal(f.X, given)
+        assert not f.X.flags.writeable
+
+    def test_step_above_the_gemv_bound_stores_x_column_major(self):
+        cfg = SolverConfig(rank=2, accelerated=True)
+        obs = make_instance(GEMV_MAX_N + 21, 2, 120, 4).obs
+        f = step(init_state(obs, cfg), obs, cfg).factors
+        assert f.rank == 2 and f.X.T.flags.c_contiguous
 
 
 class TestTruncatedSvd:
@@ -171,6 +195,7 @@ class TestTruncatedSvd:
         assert np.allclose(f.sigma, s[:r], rtol=1e-8)
         assert np.all(np.abs(f.sigma - s[:r]) <= 1e-12)
         assert orthonormality_defect(f) <= 1e-12
+        assert f.X.T.flags.c_contiguous
         # Eckart-Young: the error is the tail, whichever basis of a cut cluster X takes
         assert abs(np.linalg.norm(A - L) - np.linalg.norm(s[r:])) <= 1e-12 * s[0]
         assert np.abs(L - L.T).max() <= 1e-14 * s[0]
