@@ -4,7 +4,7 @@ Flags override config-file keys, which override defaults. A setting's
 static bound sits on its `_SETTINGS` row, and `main` checks every value a
 subcommand reads before the subcommand runs; the subcommand checks the
 bounds set by n before it reads or synthesizes anything. Exit codes:
-0 success, 1 usage error, 2 input error, 3 non-convergence under --strict,
+0 success, 1 usage error, 2 input or output error, 3 non-convergence under --strict,
 4 numerical failure. Any other exception is a bug and keeps its traceback.
 
 A subcommand returns its tables by file name and, if a solve did not
@@ -413,6 +413,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    stage = "input"  # an OSError before the tables are computed comes from reading
     try:
         args = parser.parse_args(argv)
         command, _ = _COMMANDS[args.command]
@@ -421,6 +422,7 @@ def main(argv=None) -> int:
             if args.command in s.commands:
                 settings.get(key)
         tables, unconverged = command(settings)
+        stage = "output"
         out_dir = settings.get("out")
         os.makedirs(out_dir, exist_ok=True)
         for name, (header, rows) in tables.items():
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (InputFileError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"{stage} error: {exc}", file=sys.stderr)
         return 2
     except (SvdConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lowrank import LinearOperator, LowRankFactors, checked_int, checked_vector, ensure_dense_allowed
+from .lowrank import LinearOperator, LowRankFactors, checked_int, checked_vector, ensure_dense_allowed, store_readonly
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class HankelVector:
                 f"parameter vector has length {v.shape[0]}, expected "
                 f"2n-1 = {2 * self.n - 1} for n = {self.n}"
             )
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        store_readonly(self, values=v)
 
     @classmethod
     def from_signal(cls, x) -> "HankelVector":
@@ -52,7 +51,7 @@ class HankelVector:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Observed coordinates of the length-(2n-1) signal and their values."""
+    """Observed coordinates of the length-(2n-1) signal, of an integer dtype, and their finite values."""
 
     n: int
     indices: np.ndarray
@@ -60,13 +59,10 @@ class ObservationSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int("Hankel dimension", self.n, 2))
-        raw = np.asarray(self.indices).reshape(-1)
-        if raw.size and raw.dtype.kind not in "iuf":
-            raise ValueError(f"indices must be integers, got dtype {raw.dtype}")
-        with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the check below
-            idx = raw.astype(np.int64)
-        if not np.array_equal(idx, raw):
-            raise ValueError(f"indices must be integers, got {raw[idx != raw][0]}")
+        idx = np.asarray(self.indices).reshape(-1)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64)  # a copy; an empty list arrives as float64
         vals = np.array(self.values, dtype=np.complex128, copy=True).reshape(-1)
         if idx.shape != vals.shape:
             raise ValueError(
@@ -74,15 +70,11 @@ class ObservationSet:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("observed values must be finite")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] > 2 * self.n - 2:
-                raise ValueError(f"indices must lie in [0, {2 * self.n - 2}]")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-        idx.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
+        if idx.size and (idx[0] < 0 or idx[-1] > 2 * self.n - 2):
+            raise ValueError(f"indices must lie in [0, {2 * self.n - 2}]")
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("indices must be strictly increasing")
+        store_readonly(self, indices=idx, values=vals)
 
 
 @lru_cache(maxsize=None)

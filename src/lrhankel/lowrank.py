@@ -73,8 +73,10 @@ SYMMETRY_TOL = 1e-11
 
 
 def checked_int(name: str, value, low: int, high: int | None = None) -> int:
-    """`value` as an int if it is an integer (numpy's too) in [low, high], else a ValueError naming `name`."""
+    """`value` as an int if it is a non-bool integer (numpy's too) in [low, high], else a ValueError naming `name`."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index takes True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value}") from None
@@ -82,6 +84,18 @@ def checked_int(name: str, value, low: int, high: int | None = None) -> int:
         bound = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
         raise ValueError(f"{name} must {bound}, got {value}")
     return value
+
+
+def is_real(value) -> bool:
+    """Whether `value` is a real number (numpy's too); a bool or str is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def store_readonly(obj, **arrays: np.ndarray) -> None:
+    """Make each array read-only and store it as the field of that name on the frozen dataclass `obj`."""
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
 
 def checked_vector(v, n: int) -> np.ndarray:
@@ -118,10 +132,10 @@ class SvdConvergenceError(RuntimeError):
 class LowRankFactors:
     """A complex symmetric rank-r matrix X @ diag(sigma) @ X^T stored in O(n r) memory.
 
-    X is n-by-r with orthonormal columns (X^* X = I); sigma is nonnegative
-    and nonincreasing. r == 0 encodes the zero matrix. X is stored
-    column-major, so X.T is r contiguous rows: row FFTs beat axis-0 FFTs,
-    and gemv reads contiguous rows.
+    n is an integer. X is n-by-r with orthonormal columns (X^* X = I);
+    sigma is finite, nonnegative and nonincreasing. r == 0 encodes the zero
+    matrix. X is stored column-major, so X.T is r contiguous rows: row FFTs
+    beat axis-0 FFTs, and gemv reads contiguous rows.
     """
 
     n: int
@@ -135,12 +149,9 @@ class LowRankFactors:
         r = sigma.shape[0] if sigma.ndim == 1 else -1
         if X.shape != (self.n, r):
             raise ValueError(f"inconsistent factor shapes: X {X.shape}, sigma {sigma.shape} for n={self.n}")
-        if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
-            raise ValueError("singular values must be nonnegative and nonincreasing")
-        for a in (X, sigma):
-            a.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "sigma", sigma)
+        if not (np.all(sigma[1:] <= sigma[:-1]) and (r == 0 or 0 <= sigma[-1] <= sigma[0] < math.inf)):
+            raise ValueError("singular values must be finite, nonnegative and nonincreasing")
+        store_readonly(self, X=X, sigma=sigma)
 
     @property
     def rank(self) -> int:
@@ -397,7 +408,7 @@ def project_rank(
     the result never refers to them.
     """
     rank, seed = checked_int("rank", rank, 1, op.n), checked_int("seed", seed, 0)
-    if not isinstance(tol, numbers.Real) or not 0.0 < tol < 0.1:  # NaN fails the range
+    if not (is_real(tol) and 0.0 < tol < 0.1):  # NaN fails the range
         raise ValueError(f"tol must be a number in (0, 0.1), got {tol}")
     if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):
         M = op.materialize()

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import HankelVector, ObservationSet, hankel_operator
-from .lowrank import checked_int, project_rank
+from .lowrank import checked_int, project_rank, store_readonly
 
 
 class PencilConditionError(RuntimeError):
@@ -14,7 +14,7 @@ class PencilConditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Sum of complex sinusoids: x(t) = sum_k amps[k] * exp(2 pi i freqs[k] t)."""
+    """Sum of sinusoids x(t) = sum_k amps[k] exp(2 pi i freqs[k] t): freqs distinct in [0, 1), amps finite, nonzero."""
 
     freqs: np.ndarray
     amps: np.ndarray
@@ -27,16 +27,13 @@ class SpectralModel:
                 f"need matching nonempty frequency and amplitude lists, got "
                 f"{freqs.size} and {amps.size}"
             )
-        if np.any(freqs < 0) or np.any(freqs >= 1):
+        if not np.all((0 <= freqs) & (freqs < 1)):  # NaN fails the range
             raise ValueError("frequencies must lie in [0, 1)")
         if np.unique(freqs).size != freqs.size:
             raise ValueError("frequencies must be pairwise distinct")
-        if np.any(amps == 0):
-            raise ValueError("amplitudes must be nonzero")
-        freqs.setflags(write=False)
-        amps.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "amps", amps)
+        if not np.all(np.isfinite(amps) & (amps != 0)):
+            raise ValueError("amplitudes must be nonzero and finite")
+        store_readonly(self, freqs=freqs, amps=amps)
 
 
 @dataclass(frozen=True)

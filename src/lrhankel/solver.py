@@ -40,6 +40,7 @@ from .lowrank import (
     LowRankFactors,
     checked_int,
     checked_vector,
+    is_real,
     lowrank_dense,
     project_rank,
 )
@@ -67,14 +68,16 @@ class SolverConfig:
     def __post_init__(self):
         for name, low in (("rank", 1), ("max_iter", 1), ("svd_seed", 0)):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), low))
-        for name in ("delta1", "delta2"):
+        if not isinstance(self.accelerated, bool):
+            raise ValueError(f"accelerated must be True or False, got {self.accelerated!r}")
+        for name in ("delta1", "delta2"):  # NaN fails every range
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-        if not 0 < self.tol < math.inf:  # NaN fails the range
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.bound is not None and not self.bound > 0:
-            raise ValueError(f"bound must be positive when set, got {self.bound}")
+            if not (is_real(value) and 0.0 < value < 1.0):
+                raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
+        if not (is_real(self.tol) and 0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.bound is not None and not (is_real(self.bound) and self.bound > 0):
+            raise ValueError(f"bound must be positive when set, got {self.bound!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Every size and count the library takes is an integer within its range.
 
-Each takes numpy integers too; anything else raises a ValueError that names
-the argument, before any work is done.
+Each takes numpy integers too; anything else, a bool included, raises a
+ValueError that names the argument, before any work is done.
 """
 
 import re
@@ -64,8 +64,9 @@ SITES = {
 def test_takes_numpy_integers_and_rejects_the_rest(site):
     name, call, valid, fraction, outside = SITES[site]
     call(valid)
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got {fraction}$"):
-        call(fraction)
+    for not_an_int in (fraction, True, np.True_):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got {not_an_int}$"):
+            call(not_an_int)
     bound = r"(be at least \d+|lie in \[\d+, \d+\])"
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must {bound}, got {outside}$"):
         call(outside)

@@ -399,6 +399,15 @@ class TestSynth:
         model_lines = (out / "model.csv").read_text().splitlines()
         assert len(model_lines) == 3
 
+    def test_out_that_is_a_file_is_an_output_error(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        assert run("synth", "--n", 8, "--rank", 1, "--samples", 5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert out.read_text() == "kept\n"
+
 
 class TestPhase:
     def test_deterministic_across_workers(self, tmp_path):

@@ -71,7 +71,8 @@ class TestTypes:
             ObservationSet(3, [0, 5], [1.0, 2.0])
         with pytest.raises(ValueError, match="values"):
             ObservationSet(3, [0, 1], [1.0])
-        for bad in ([1.5, 2.7], [1.0, np.nan], [1 + 1j, 2], [True, False]):
+        # only an integer dtype is taken: integral floats are refused too
+        for bad in ([1.5, 2.7], [1.0, np.nan], [0.0, 3.0], np.float32([0, 3]), [1 + 1j, 2], [True, False]):
             with pytest.raises(ValueError, match="integers"):
                 ObservationSet(4, bad, [1.0, 2.0])
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):

@@ -67,8 +67,11 @@ class TestFactors:
             LowRankFactors(3, np.zeros((3, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="nonincreasing"):
             LowRankFactors(3, np.zeros((3, 2)), [1.0, 2.0])
-        with pytest.raises(ValueError, match="nonincreasing"):
-            LowRankFactors(3, np.zeros((3, 1)), [-1.0])
+        for bad in ([-1.0], [np.nan], [np.inf], [2.0, np.nan], [np.nan, 1.0], [np.inf, 1.0], [1.0, -1.0]):
+            with pytest.raises(ValueError, match="^singular values must be finite, nonnegative and nonincreasing$"):
+                LowRankFactors(3, np.zeros((3, len(bad))), bad)
+        for good in ([], [0.0], [2.0, 2.0, 0.0]):
+            assert LowRankFactors(3, np.zeros((3, len(good))), good).rank == len(good)
 
     def test_storage_is_linear_in_n(self):
         n, r = 5001, 31

@@ -22,10 +22,12 @@ class TestModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="distinct"):
             SpectralModel([0.1, 0.1], [1.0, 2.0])
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            SpectralModel([1.0], [1.0])
-        with pytest.raises(ValueError, match="nonzero"):
-            SpectralModel([0.3], [0.0])
+        for bad in (1.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                SpectralModel([bad], [1.0])
+        for bad in (0.0, np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
+            with pytest.raises(ValueError, match="nonzero and finite"):
+                SpectralModel([0.3], [bad])
 
     def test_synthesize_dc(self):
         assert np.allclose(synthesize(SpectralModel([0.0], [1.0]), 3), [1, 1, 1])

@@ -76,6 +76,17 @@ class TestConfig:
             ("max_iter", 3.5, "max_iter must be an integer, got 3.5"),
             ("svd_seed", -1, "svd_seed must be at least 0, got -1"),
             ("svd_seed", 1.5, "svd_seed must be an integer, got 1.5"),
+            ("max_iter", True, "max_iter must be an integer, got True"),
+            ("rank", np.True_, "rank must be an integer, got True"),
+            ("accelerated", "false", "accelerated must be True or False, got 'false'"),
+            ("accelerated", 1, "accelerated must be True or False, got 1"),
+            ("delta1", "0.5", "delta1 must lie strictly in (0, 1), got '0.5'"),
+            ("delta2", True, "delta2 must lie strictly in (0, 1), got True"),
+            ("tol", True, "tol must be positive and finite, got True"),
+            ("tol", "1e-4", "tol must be positive and finite, got '1e-4'"),
+            ("bound", True, "bound must be positive when set, got True"),
+            ("bound", "2", "bound must be positive when set, got '2'"),
+            ("bound", float("nan"), "bound must be positive when set, got nan"),
         ):
             with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
                 SolverConfig(**{"rank": 1, field_name: bad})
