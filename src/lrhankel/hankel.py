@@ -13,7 +13,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lowrank import LinearOperator, LowRankFactors, checked_int, checked_vector, ensure_dense_allowed, store_readonly
+from .lowrank import (
+    LinearOperator,
+    LowRankFactors,
+    checked_int,
+    checked_vector,
+    ensure_dense_allowed,
+    is_real,
+    store_readonly,
+)
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,6 @@ class HankelVector:
                 f"Hankel matrix, got length {x.shape[0]}"
             )
         return cls((x.shape[0] + 1) // 2, x)
-
-    @classmethod
-    def zeros(cls, n: int) -> "HankelVector":
-        return cls(n, np.zeros(2 * n - 1, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,8 @@ def project_hankel_blend(
     overwritten last so they match the data bit for bit. The blended matrix
     is never formed densely.
     """
-    if not 0.0 < delta2 < 1.0:
-        raise ValueError(f"delta2 must lie in (0, 1), got {delta2}")
+    if not (is_real(delta2) and 0.0 < delta2 < 1.0):  # NaN fails the range
+        raise ValueError(f"delta2 must be a number in (0, 1), got {delta2!r}")
     if sums.shape != h.values.shape or obs.n != h.n:
         raise ValueError(
             f"dimension mismatch: h has n={h.n}, sums length {sums.shape[0]}, observations n={obs.n}"

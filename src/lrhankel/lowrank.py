@@ -14,7 +14,7 @@ whole cluster's conj(V) spans its left vectors), and take X = conj(V) Y
 from the Takagi vectors Y of C = V^T A V: the eigenvectors of
 [[Re C, Im C], [Im C, -Re C]] for its eigenvalues +sigma. The dense path
 checks M - M^T on the materialized matrix M and takes V from its SVD.
-Where n > DENSE_CROSSOVER (R + 6), or the operator cannot materialize,
+Where n > DENSE_CROSSOVER (R + 9), or the operator cannot materialize,
 complex-symmetric Lanczos (Bunse-Gerstner and Gragg, 1988; Luk and Qiao,
 2003) with full reorthogonalization is cheaper: it costs a fixed overhead
 plus about 2R steps, where a dense SVD costs the same at every rank. It
@@ -64,9 +64,9 @@ from typing import Callable, Optional
 import numpy as np
 
 DENSE_THRESHOLD = 256
-# above n = DENSE_CROSSOVER * (rank + 6), Lanczos beat the dense SVD in every
-# cell measured at n = 16..256 on mid-solve blend operators (CHANGES.md)
-DENSE_CROSSOVER = 7
+# the dense SVD won every cell measured at n <= 3 (rank + 9) but a tie at (96, 32),
+# Lanczos every cell above it (mid-solve blends, n = 16..256, BENCH_26.json)
+DENSE_CROSSOVER = 3
 # largest ||P - P^T|| / ||P|| (P = Q^T A Q or M) taken as A^T = A: 70x every
 # ratio measured on the solver's operators and tests (CHANGES.md)
 SYMMETRY_TOL = 1e-11
@@ -156,10 +156,6 @@ class LowRankFactors:
     @property
     def rank(self) -> int:
         return self.sigma.shape[0]
-
-    @classmethod
-    def zero(cls, n: int) -> "LowRankFactors":
-        return cls(n, np.zeros((n, 0), dtype=np.complex128), np.zeros(0))
 
     def frobenius_sq(self) -> float:
         return float(np.sum(self.sigma**2))
@@ -410,7 +406,7 @@ def project_rank(
     rank, seed = checked_int("rank", rank, 1, op.n), checked_int("seed", seed, 0)
     if not (is_real(tol) and 0.0 < tol < 0.1):  # NaN fails the range
         raise ValueError(f"tol must be a number in (0, 0.1), got {tol}")
-    if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 6)):
+    if op.materialize is not None and op.n <= min(DENSE_THRESHOLD, DENSE_CROSSOVER * (rank + 9)):
         M = op.materialize()
         _check_symmetric(M, f"the materialized {op.n}x{op.n} operator")
         X, s = _takagi(*np.linalg.svd(M), rank, tol)

@@ -109,9 +109,9 @@ class RecoveryResult:
 
 
 # at n <= GEMV_MAX_N the blend is applied by gemv on its dense matrix: Lanczos
-# on it took 0.57-0.95x the time of Lanczos on the FFT blend in every cell at
-# n = 64..128, r = 1, 4, 8, but 1.01-1.02x at (160, 1) and up to 1.59x at
-# n = 192 (two runs on mid-solve operators, CHANGES.md)
+# on it took 0.74-0.91x the time of Lanczos on the FFT blend in every cell at
+# n = 64..128, r = 1..64, but 1.07-1.15x at n = 192, r <= 2 and up to 1.45x at
+# n = 256 (paired timings on mid-solve operators, BENCH_26.json)
 GEMV_MAX_N = 128
 
 

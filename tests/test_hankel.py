@@ -116,7 +116,7 @@ class TestDense:
         assert not hankel_dense(HankelVector(2, [0, 0, 0])).any()
 
     def test_guard_blocks_large_n(self):
-        h = HankelVector.zeros(DENSE_THRESHOLD + 1)
+        h = HankelVector(DENSE_THRESHOLD + 1, np.zeros(2 * DENSE_THRESHOLD + 1))
         with pytest.raises(DenseMaterializationError):
             hankel_dense(h)
 
@@ -193,12 +193,12 @@ class TestAntidiagSums:
         assert np.allclose(antidiag_sums_lowrank(f), [1, 2, 1])
 
     def test_zero_factors(self):
-        assert not antidiag_sums_lowrank(LowRankFactors.zero(5)).any()
+        assert not antidiag_sums_lowrank(LowRankFactors(5, np.zeros((5, 0)), [])).any()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 257, 1001])
     def test_zero_factors_give_positive_zero_bits(self, n):
         # rank 0 takes the general path: an empty batch of row FFTs sums to +0.0
-        sums = antidiag_sums_lowrank(LowRankFactors.zero(n))
+        sums = antidiag_sums_lowrank(LowRankFactors(n, np.zeros((n, 0)), []))
         assert sums.tobytes() == np.zeros(2 * n - 1, complex).tobytes()
 
     @pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (9, 3), (16, 4)])
@@ -299,19 +299,19 @@ class TestProjection:
             assert np.allclose(got.values, expected, rtol=1e-11, atol=1e-11)
 
     def test_blend_rejects_mismatched_dimensions(self):
-        h = HankelVector.zeros(3)
+        h = HankelVector(3, np.zeros(5))
         obs = ObservationSet(3, [0], [1.0])
         for sums, o in ((np.zeros(7, complex), obs), (np.zeros(5, complex), ObservationSet(4, [0], [1.0]))):
             with pytest.raises(ValueError, match="^dimension mismatch"):
                 project_hankel_blend(h, sums, 0.5, o)
 
     def test_blend_rejects_bad_delta(self):
-        h = HankelVector.zeros(3)
-        f = LowRankFactors.zero(3)
+        # a str, bool or NaN step is refused by name, as SolverConfig refuses it
+        h = HankelVector(3, np.zeros(5))
         obs = ObservationSet(3, [0], [1.0])
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError, match="delta2"):
-                project_hankel_blend(h, antidiag_sums_lowrank(f), bad, obs)
+        for bad in (0.0, 1.0, -0.2, 1.5, "0.5", True, float("nan")):
+            with pytest.raises(ValueError, match="^delta2 must be a number in"):
+                project_hankel_blend(h, np.zeros(5, complex), bad, obs)
 
 
 class TestNorms:

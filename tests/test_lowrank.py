@@ -58,7 +58,7 @@ def small_gap_operator(n, r, applies):
 
 class TestFactors:
     def test_zero_factors(self):
-        f = LowRankFactors.zero(4)
+        f = LowRankFactors(4, np.zeros((4, 0)), [])
         assert f.rank == 0
         assert not lowrank_dense(f).any()
 
@@ -89,10 +89,12 @@ class TestFactors:
     def test_zero_factors_give_positive_zero_bits(self):
         # the rank-0 product takes the general path: an empty sum is +0.0 everywhere
         for n in (1, 2, 7, 64):
-            assert lowrank_dense(LowRankFactors.zero(n)).tobytes() == np.zeros((n, n), complex).tobytes()
+            f = LowRankFactors(n, np.zeros((n, 0)), [])
+            assert lowrank_dense(f).tobytes() == np.zeros((n, n), complex).tobytes()
 
     def test_dense_guard(self):
-        f = LowRankFactors.zero(DENSE_THRESHOLD + 1)
+        n = DENSE_THRESHOLD + 1
+        f = LowRankFactors(n, np.zeros((n, 0)), [])
         with pytest.raises(DenseMaterializationError):
             lowrank_dense(f)
 
@@ -232,12 +234,16 @@ class TestTruncatedSvd:
         assert orthonormality_defect(f) <= 1e-10
 
     @pytest.mark.parametrize("n, rank, dense", [
+        (30, 1, True), (31, 1, False), (33, 2, True), (34, 2, False),
+        (39, 4, True), (40, 4, False), (51, 8, True), (52, 8, False),
         (64, 1, False), (64, 2, False), (64, 3, False),
-        (64, 4, True), (48, 2, True), (32, 1, True), (256, 64, True),
-        (257, 1, False),
+        (64, 4, False), (48, 2, False), (32, 1, False), (256, 64, False),
+        (256, 96, True), (257, 1, False),
     ])
     def test_path_is_chosen_by_cost(self, n, rank, dense):
-        # the dense SVD only where it is the cheaper path and the memory guard allows it
+        # the dense SVD only where it is the cheaper path, n <= 3 (rank + 9), and
+        # the memory guard allows it: the largest dense n and the next one at
+        # ranks 1-8, phase-64's ranks, both paths at n = 256, and the guard above it
         A = random_spectrum_matrix(n, np.random.default_rng(n + rank), decay=0.5)
         calls = []
 
@@ -276,8 +282,8 @@ class TestTruncatedSvd:
     @pytest.mark.parametrize("eps, consistent", [(0.0, True), (1e-13, True), (1e-8, False)])
     def test_dense_path_checks_symmetry(self, eps, consistent):
         # the dense path checks M - M^T on the matrix it materializes, before
-        # its SVD and with no apply
-        n = 40
+        # its SVD and with no apply; n = 32 takes it at rank 4
+        n = 32
         rng = np.random.default_rng(40)
         A = random_spectrum_matrix(n, rng)
         A = A + eps * np.linalg.norm(A) * np.outer(random_unitary(n, rng)[:, 0], random_unitary(n, rng)[:, 0])

@@ -124,7 +124,7 @@ class TestObjective:
         assert objective(f, h, antidiag_sums_lowrank(f)) <= 1e-10
 
     def test_zero_factor_example(self):
-        f = LowRankFactors.zero(2)
+        f = LowRankFactors(2, np.zeros((2, 0)), [])
         assert objective(f, HankelVector(2, [1, 1, 1]), antidiag_sums_lowrank(f)) == 2.0
 
     @pytest.mark.parametrize("n", [2, 5, 9, 16])
@@ -328,7 +328,7 @@ class TestBlendOperator:
 
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError, match="^dimension mismatch: factors n=3, h n=4$"):
-            blend_operator(LowRankFactors.zero(3), HankelVector.zeros(4), 0.3)
+            blend_operator(LowRankFactors(3, np.zeros((3, 0)), []), HankelVector(4, np.zeros(7)), 0.3)
 
     def test_applies_leave_input_and_earlier_results_alone(self):
         # the FFT blend accumulates in the Hankel product's array and the gemv
