@@ -6,6 +6,7 @@ count or scheduling order. A recovery counts as a success when the relative
 error against the ground truth is at most SUCCESS_THRESHOLD.
 """
 
+import ctypes
 import logging
 import os
 import time
@@ -98,14 +99,33 @@ def run_trial(n: int, rank: int, samples: int, seed: int, cfg: SolverConfig) -> 
     return relative_error(result.z_hat, inst.x_true) <= SUCCESS_THRESHOLD
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, as the pool already fills the CPUs.
+
+    OpenBLAS threads a complex gemv from n = 64 on, and its helper threads in
+    every worker spun on the CPUs the others needed: 20-trial cells at n = 64
+    ran 5-15 times slower. Without /proc/self/maps, nothing changes.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line and ".so" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+
+
 def run_phase(grid: ExperimentGrid, workers: int | None = 1) -> list[PhaseCell]:
     """Success counts for every (rank, samples) cell of the grid, in grid order.
 
     Parallelism is across trials only; each trial owns a seed derived from
     (master_seed, rank, samples, trial), so any worker count produces the
     identical table. `workers` is None, meaning every CPU, or an integer of
-    at least 1; the pool never has more workers than CPUs or trials, and one
-    worker runs the trials in-process.
+    at least 1; the pool never has more workers than CPUs or trials, each of
+    its workers keeps one BLAS thread, and one worker runs the trials in-process.
     """
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else checked_int("workers", workers, 1)
@@ -119,7 +139,7 @@ def run_phase(grid: ExperimentGrid, workers: int | None = 1) -> list[PhaseCell]:
     # a forked pool starts all its workers at the first submit, used or not
     workers = min(workers, cpus, len(trials))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(run_trial, *columns, chunksize=1))
     else:
         outcomes = list(map(run_trial, *columns))

@@ -1,5 +1,7 @@
+import ctypes
 import logging
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +17,21 @@ from lrhankel.experiments import (
     run_trial,
     trial_seed,
 )
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS that this process loaded, or None if none is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line and ".so" in line}
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
 
 
 def small_grid(**overrides):
@@ -132,7 +149,8 @@ class TestPhase:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is experiments._one_blas_thread
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -160,10 +178,16 @@ class TestPhase:
             run_phase(small_grid(rank_values=(1,), sample_values=(31,), trials=trials), workers=workers)
             assert sizes == [], (cpus, workers, trials)
 
+    def test_pool_workers_keep_one_blas_thread(self):
+        if blas_threads() is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS found through /proc/self/maps")
+        with ProcessPoolExecutor(max_workers=1, initializer=experiments._one_blas_thread) as pool:
+            assert pool.submit(blas_threads).result() == 1
+
     def test_rejects_bad_worker_counts(self, monkeypatch):
         # the fake records every pool asked for and starts none
         sizes = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: sizes.append(max_workers))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers, **_: sizes.append(max_workers))
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
         grid = small_grid(rank_values=(1,), sample_values=(31,), trials=3)
         for workers, message in ((0, "be at least 1, got 0"), (-3, "be at least 1, got -3"),
