@@ -111,10 +111,11 @@ def read_observation_file(path, n: int) -> ObservationSet:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat key=value configuration; blank lines and '#' comments ignored."""
+    """Flat key=value configuration; blank lines and '#' comments ignored, a key given twice refused."""
     if not os.path.isfile(path):
         raise InputFileError(f"{path}: no such file")
     out: dict[str, str] = {}
+    set_at: dict[str, int] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -122,6 +123,9 @@ def read_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise InputFileError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in set_at:
+                raise InputFileError(f"{path}:{line_no}: key {key} is set again; line {set_at[key]} set it first")
+            set_at[key] = line_no
+            out[key] = value
     return out

@@ -24,11 +24,14 @@ Gram-Schmidt, so A Q = conj(Q) T + beta_k conj(q_k+1) e_k^T with
 T = Q^T A Q complex symmetric tridiagonal. From T = W S Z*, V = Q Z, and
 beta_k |Z[k-1, j]| is the residual of Ritz pair j. The estimates are
 checked every second step from R + 1 steps up to 4 max(R, 8), then every
-max(R, 8) steps. Once they pass, two checks read the products A q_k the
-recurrence kept, with no further apply, and either failure raises at
-once: Q^T A Q must be symmetric to SYMMETRY_TOL, which sees only the part
-of A - A^T that acts within span Q, and the residual A conj(X) - X S, the
-stored products times Z conj(Y), must lie within 10 tol sigma_1. A beta
+max(R, 8) steps. Once they pass, two checks read the Gram-Schmidt
+coefficients, with no further apply, and either failure raises at once.
+The first passes give P = Q^T A Q to rounding (Paige, 1976), with beta_k
+at P[k+1, k]: it must be symmetric to SYMMETRY_TOL, which sees only the
+part of A - A^T that acts within span Q. The residual A conj(X) - X S is
+P Z conj(Y) - conj(Z) Y S on span Q, plus beta_k q_k+1 and each remainder
+a breakdown, or k == n, drops (less its components along later q_j, which
+fill P below its subdiagonal); it must lie within 10 tol sigma_1. A beta
 at or below tol times the largest alpha or beta so far closes a Krylov
 block, invariant to within tol, so its Ritz values hold; larger singular
 values may lie outside it. Every block starts from a random direction, so
@@ -42,12 +45,11 @@ default_rng((seed, k)), so a projection is a function of the operator,
 rank, tol and seed alone. Both paths drop singular values that are zero or
 below 1e-12 of the largest.
 
-The two row buffers of the recurrence (the basis q_k and the products
-A q_k) and the start vector, drawn once per (n, seed), live in a
-LanczosRows. solve holds one for its length, so each projection writes
-into rows already paged in and grows them only when it needs more; without
-one, a projection allocates its own. A LanczosRows serves one solve at a
-time and is never module state, because threads share the module.
+The basis rows q_k and the start vector, drawn once per (n, seed), live
+in a LanczosRows. solve holds one for its length, so each projection
+writes into rows already paged in and grows them only when it needs more;
+without one, a projection allocates its own. A LanczosRows serves one
+solve at a time and is never module state, because threads share the module.
 
 Everything in this package runs in O(n R) memory. Dense n-by-n matrices
 are allowed up to DENSE_THRESHOLD, for the dense SVD, the gemv blend and
@@ -189,14 +191,14 @@ def lowrank_dense(f: LowRankFactors) -> np.ndarray:
 
 
 class LanczosRows:
-    """Row buffers of _lanczos_symmetric, reused by the projections of one caller.
+    """The basis rows of _lanczos_symmetric, reused by the projections of one caller.
 
     Rows past the current Lanczos step hold stale values and are never read.
     It also holds the read-only start vector of the last (n, seed) it served.
     """
 
     def __init__(self):
-        self._buffers: tuple[np.ndarray, ...] = ()
+        self._basis = np.empty((0, 0), dtype=np.complex128)
         self._start: tuple = ()
 
     def start(self, n: int, seed: int) -> np.ndarray:
@@ -207,16 +209,15 @@ class LanczosRows:
             self._start = (n, seed, v)
         return self._start[2]
 
-    def take(self, rows: int, n: int, keep: int = 0) -> tuple[np.ndarray, ...]:
-        """Two (rows, n) buffers; when they must grow, the first `keep` rows carry over."""
-        held = self._buffers
-        if not held or held[0].shape[0] < rows or held[0].shape[1] != n:
-            grown = tuple(np.empty((rows, n), dtype=np.complex128) for _ in range(2))
-            if keep:
-                for new, old in zip(grown, held):
-                    new[:keep] = old[:keep]
-            self._buffers = held = grown
-        return tuple(b[:rows] for b in held)
+    def take(self, rows: int, n: int, keep: int = 0) -> np.ndarray:
+        """A (rows, n) buffer; when it must grow, its first `keep` rows carry over."""
+        held = self._basis
+        if held.shape[0] < rows or held.shape[1] != n:
+            grown = np.empty((rows, n), dtype=np.complex128)
+            if keep:  # rows of another n cannot broadcast, even zero of them
+                grown[:keep] = held[:keep]
+            self._basis = held = grown
+        return held[:rows]
 
 
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int):
@@ -224,7 +225,7 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int):
     n = basis.shape[1]
     for _ in range(5):
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = _reorthogonalize(w, basis[:k])
+        _reorthogonalize(w, basis[:k])
         nrm = np.linalg.norm(w)
         if nrm > 1e-8 * np.sqrt(n):
             return w / nrm
@@ -232,10 +233,11 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray, k: int):
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # classical Gram-Schmidt, two passes ("twice is enough"), in place
-    for _ in range(2):
-        x -= np.conj(basis @ np.conj(x)) @ basis
-    return x
+    """Orthogonalize x against the rows of `basis` in place, by CGS twice; return the first pass's basis @ conj(x)."""
+    first = basis @ np.conj(x)
+    x -= np.conj(first) @ basis
+    x -= np.conj(basis @ np.conj(x)) @ basis
+    return first
 
 
 def _norm(x: np.ndarray) -> float:
@@ -285,7 +287,7 @@ def _takagi(W: np.ndarray, s: np.ndarray, Zh: np.ndarray, rank: int, tol: float)
 
 
 def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, rows: LanczosRows):
-    """Leading `rank` Takagi pairs (X, sigma) of a complex symmetric operator, verified from the stored products."""
+    """Leading `rank` Takagi pairs (X, sigma) of a complex symmetric operator, verified from its CGS coefficients."""
     n = op.n
     q = rows.start(n, seed)
 
@@ -296,8 +298,9 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
     next_check = rank + 1
 
     # basis rows, doubled when full: most projections stop within 4 * block
-    Q, AQ = rows.take(min(max_steps, 4 * block), n)
-    T = np.zeros((Q.shape[0], Q.shape[0]), dtype=np.complex128)
+    Q = rows.take(min(max_steps, 4 * block), n)
+    T, P = np.zeros((2, Q.shape[0], Q.shape[0]), dtype=np.complex128)  # P: Q^T A Q from the coefficients
+    dropped = []  # (step, w) of each remainder that left the recurrence
     beta = 0.0
     scale = 0.0
     k = 0
@@ -305,16 +308,17 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
 
     while k < max_steps:
         if k == Q.shape[0]:
-            Q, AQ = rows.take(k + min(k, max_steps - k), n, keep=k)
-            grown = np.zeros((Q.shape[0], Q.shape[0]), dtype=np.complex128)
-            grown[:k, :k] = T[:k, :k]
-            T = grown
+            Q = rows.take(k + min(k, max_steps - k), n, keep=k)
+            grown = np.zeros((2, Q.shape[0], Q.shape[0]), dtype=np.complex128)
+            grown[:, :k, :k] = T[:k, :k], P[:k, :k]
+            T, P = grown
         if k:
-            T[k, k - 1] = T[k - 1, k] = beta
+            T[k, k - 1] = T[k - 1, k] = P[k, k - 1] = beta
         Q[k] = q
-        AQ[k] = op.apply(q)
-        T[k, k] = alpha = np.dot(q, AQ[k])
-        w = _reorthogonalize(np.conj(AQ[k]), Q[: k + 1])
+        Aq = op.apply(q)
+        T[k, k] = alpha = np.dot(q, Aq)
+        w = np.conj(Aq)
+        P[: k + 1, k] = _reorthogonalize(w, Q[: k + 1])
         beta = _norm(w)
         scale = max(scale, abs(alpha), beta)
         k += 1
@@ -322,11 +326,13 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         closed = None  # the start of a block that closed at this step
         if k == n:
             beta = 0.0
+            dropped.append((k - 1, w))
         elif beta <= tol * scale:
             # the block's Krylov space is invariant to within tol, but larger
             # singular values may lie outside it: check whether any can, and
             # go on from a fresh direction if so
             beta = 0.0
+            dropped.append((k - 1, w))
             closed, block_start = block_start, k
             check = True
             # from a stream keyed by (seed, k): no generator outlives a projection
@@ -361,12 +367,15 @@ def _lanczos_symmetric(op: LinearOperator, rank: int, tol: float, seed: int, row
         if np.all(estimates <= floor):
             # the estimates presume A^T = A: confirm it on span Q, then the
             # pairs by A conj(X) - X S; more steps cannot mend either failure
-            _check_symmetric(Q[:k] @ AQ[:k].T, f"Q^T A Q over {k} Lanczos vectors (n={n})")
             B, sigma = _takagi(W, s, Zh, rank, tol)
             G = np.conj(B)
+            # A conj(X) - X S: its coordinates in conj(Q^T), then the conjugate of its part outside span Q
+            R = np.concatenate((P[:k, :k] @ G - B * sigma, np.outer(beta * q, B[k - 1])))
+            for j, r in dropped:
+                P[j + 1 : k, j] = _reorthogonalize(r, Q[j + 1 : k])
+                R[k:] += np.outer(r, B[j])
+            _check_symmetric(P[:k, :k], f"Q^T A Q over {k} Lanczos vectors (n={n})")
             X = np.conj(Q[:k].T @ G)
-            R = AQ[:k].T @ G
-            R -= X * sigma
             if _worst_column_sq(R) > (10.0 * floor) ** 2:
                 raise SvdConvergenceError(
                     f"Takagi pairs passed the Ritz estimates but failed residual "
@@ -400,7 +409,7 @@ def project_rank(
     returning silently inaccurate pairs. `seed` is a nonnegative integer.
     `tol` must lie in (0, 0.1): the residuals are held to 10 tol sigma_1,
     which at 0.1 or above no longer constrains the leading pair. `rows`,
-    when given, lends the Lanczos path its row buffers and start vector;
+    when given, lends the Lanczos path its basis rows and start vector;
     the result never refers to them.
     """
     rank, seed = checked_int("rank", rank, 1, op.n), checked_int("seed", seed, 0)

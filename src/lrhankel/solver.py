@@ -172,7 +172,7 @@ def init_state(obs: ObservationSet, cfg: SolverConfig, rows: LanczosRows | None 
     """Feasible start: zero-fill the unobserved coordinates, then rank-project.
 
     `rows`, here and in `step`, lends the rank projection its Lanczos
-    buffers; solve passes one LanczosRows to every projection it makes.
+    basis rows; solve passes one LanczosRows to every projection it makes.
     """
     z0 = np.zeros(2 * obs.n - 1, dtype=np.complex128)
     z0[obs.indices] = obs.values
@@ -220,8 +220,8 @@ def solve(obs: ObservationSet, cfg: SolverConfig) -> RecoveryResult:
     Stops when the weighted relative change of the Hankel iterate, which
     equals ||H_{t+1} - H_t||_F / ||H_t||_F of the dense matrices, drops to
     `tol`. A zero-norm iterate counts as converged only when the update is
-    exactly zero too. The solve holds one set of Lanczos row buffers for
-    all its projections.
+    exactly zero too. The solve holds one Lanczos basis buffer for all its
+    projections.
     """
     rows = LanczosRows()
     state = init_state(obs, cfg, rows)

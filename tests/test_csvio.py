@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,13 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         path.write_text("n=64\ntol=1e-5\n", encoding="utf-8-sig")
         assert read_config_file(path) == {"n": "64", "tol": "1e-5"}
+
+    def test_rejects_a_key_given_twice(self, tmp_path):
+        # the last value used to win silently: tol read 0.5 here
+        path = tmp_path / "run.cfg"
+        path.write_text("tol=1e-4\n# looser\n tol = 0.5\n")
+        with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}:3: key tol is set again; line 1 set it first$"):
+            read_config_file(path)
 
     def test_rejects_lines_without_equals(self, tmp_path):
         path = tmp_path / "run.cfg"

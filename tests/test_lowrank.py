@@ -355,6 +355,34 @@ class TestTruncatedSvd:
         assert np.all(np.abs(f.sigma - 3.0) <= 1e-10 * 3.0)
         assert np.linalg.norm(f.X[20:]) <= 1e-9
 
+    @pytest.mark.parametrize("part, tol", [("symmetric", 1e-8), ("skew", 1e-10)])
+    def test_verification_reads_the_remainders_a_breakdown_drops(self, part, tol, monkeypatch):
+        # diag(d) closes its Krylov blocks after a few steps, and a perturbation
+        # of 1e-9 of the norm leaves each closed block a remainder below the
+        # breakdown bound but far above SYMMETRY_TOL: the verification must
+        # count it, so a symmetric perturbation passes and a skew one raises
+        n, eps = 60, 1e-9
+        rng = np.random.default_rng(5)
+        if part == "symmetric":
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            E = G + G.T
+        else:
+            a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+            E = np.outer(a, b) - np.outer(b, a)
+        A = np.diag(np.repeat([3.0, 2.0, 1.0], 20)) + eps * 3.0 * E / np.linalg.norm(E, 2)
+        draws = []
+        fresh_direction = lowrank._fresh_direction
+        monkeypatch.setattr(lowrank, "_fresh_direction", lambda *args: draws.append(args[2]) or fresh_direction(*args))
+        op = dense_operator(A, materialize=False)
+        if part == "skew":
+            with pytest.raises(SvdConvergenceError, match="not complex symmetric"):
+                project_rank(op, 4, tol=tol)
+        else:
+            f = project_rank(op, 4, tol=tol)
+            assert np.all(np.abs(f.sigma - np.linalg.svd(A, compute_uv=False)[:4]) <= tol)
+        # draws past the start vector (k = 0) are breakdowns
+        assert sum(k > 0 for k in draws) >= 2
+
     @pytest.mark.parametrize("rank", [1, 2, 4, 8])
     def test_flat_spectrum_stops_at_the_first_closed_blocks(self, rank):
         # the Hankel matrix of an impulse is the exchange matrix, and Y Y^T is
