@@ -124,6 +124,8 @@ def read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise InputFileError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = (part.strip() for part in line.partition("="))
+            if not key:
+                raise InputFileError(f"{path}:{line_no}: empty key")
             if key in set_at:
                 raise InputFileError(f"{path}:{line_no}: key {key} is set again; line {set_at[key]} set it first")
             set_at[key] = line_no

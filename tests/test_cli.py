@@ -380,6 +380,14 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err == f"input error: {cfg}:5: key tol is set again; line 4 set it first\n"
         assert not out.exists()
 
+    def test_config_empty_key_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=16\n=5\n")
+        out = tmp_path / "o"
+        assert run("solve", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == f"input error: {cfg}:2: empty key\n"
+        assert not out.exists()
+
     def test_config_accelerated_matches_the_flag(self, tmp_path):
         base = ("solve", "--n", 16, "--rank", 2, "--samples", 14, "--seed", 3)
         assert run(*base, "--out", tmp_path / "plain") == 0

@@ -118,6 +118,14 @@ class TestConfigFiles:
         with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}:3: key tol is set again; line 1 set it first$"):
             read_config_file(path)
 
+    @pytest.mark.parametrize("line", ["=5", "  = "])
+    def test_rejects_an_empty_key(self, tmp_path, line):
+        # "=5" used to read as the key "", which the CLI then reported as an unknown key with no name
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n=16\n{line}\n")
+        with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}:2: empty key$"):
+            read_config_file(path)
+
     def test_rejects_lines_without_equals(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n 64\n")

@@ -14,7 +14,7 @@ from lrhankel import lowrank
 from lrhankel.hankel import HankelVector, hankel_operator
 from lrhankel.lowrank import DENSE_THRESHOLD, LanczosRows, lowrank_dense
 from lrhankel.signal import make_instance
-from lrhankel.solver import GEMV_MAX_N, SolverConfig, init_state, step
+from lrhankel.solver import GEMV_MAX_N, SolverConfig, blend_operator, init_state, step
 
 
 def dense_operator(A, materialize=True):
@@ -334,7 +334,10 @@ class TestTruncatedSvd:
                 project_rank(op, rank, tol=tol, seed=0)
             return
         f = project_rank(op, rank, tol=tol, seed=0)
-        # one apply per Lanczos step and none to verify
+        # one apply per Lanczos step and none to verify. At rank 8 the Ritz
+        # checks fall at steps 12, 15, ..., 33 (rank + 4, then every third
+        # step up to 4 * 8 = 32), then every 8 steps: 41, 49, ..., 105, 113.
+        # The estimates pass after step 105 and by step 113
         assert len(applies) == 113
         assert f.rank == rank
         for i in range(rank):
@@ -342,6 +345,36 @@ class TestTruncatedSvd:
             x = f.X[:, i]
             assert np.linalg.norm(A @ x.conj() - f.sigma[i] * x) <= 10 * tol * f.sigma[0]
             assert np.linalg.norm(A.conj().T @ x - f.sigma[i] * x.conj()) <= 10 * tol * f.sigma[0]
+
+    @pytest.mark.parametrize("n, rank, samples", [(300, 8, 150), (64, 2, 30), (400, 8, None)])
+    def test_ritz_checks_follow_the_fitted_schedule(self, n, rank, samples, monkeypatch):
+        # each Ritz check is one SVD of the k-by-k T: the first at step rank + 4,
+        # then every third step up to 4 max(rank, 8), then every max(rank, 8)
+        # steps (BENCH_28.json). The operators are mid-solve blends and, with
+        # no samples, the small-gap operator, which runs past 4 max(rank, 8).
+        # None breaks down, so no check comes off the schedule
+        if samples is None:
+            op = small_gap_operator(n, rank, [])[0]
+        else:
+            inst = make_instance(n, rank, samples, 0)
+            cfg = SolverConfig(rank=rank)
+            state = init_state(inst.obs, cfg)
+            for _ in range(5):
+                state = step(state, inst.obs, cfg)
+            op = LinearOperator(n, blend_operator(state.factors, state.z, cfg.delta1).apply)
+        checks, draws = [], []
+        svd, fresh_direction = np.linalg.svd, lowrank._fresh_direction
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: checks.append(a.shape) or svd(a, *args, **kw))
+        monkeypatch.setattr(lowrank, "_fresh_direction", lambda *args: draws.append(args[2]) or fresh_direction(*args))
+        project_rank(op, rank, seed=0)
+        assert not any(k > 0 for k in draws)
+        block = max(rank, 8)
+        expected = [rank + 4]
+        while len(expected) < len(checks):
+            expected.append(expected[-1] + (3 if expected[-1] < 4 * block else block))
+        assert checks == [(k, k) for k in expected]
+        # each case sees a spacing, and the small gap the spacing past 4 max(rank, 8)
+        assert len(checks) >= 2 and (samples or expected[-2] > 4 * block)
 
     @pytest.mark.parametrize("rank", [4, 6])
     def test_breakdown_does_not_end_the_projection(self, rank):

@@ -277,8 +277,8 @@ class TestSteps:
         *(pytest.param(64, rank, 30, seed, id=f"n64-r{rank}-{seed}") for rank in (1, 2, 3) for seed in range(4)),
     ])
     def test_lanczos_projection_matches_dense_svd_mid_solve(self, n, rank, samples, seed):
-        # the Ritz check after every Lanczos step may stop early; it must not
-        # stop before a leading triplet of a real iterate has converged
+        # a Ritz check may stop Lanczos early; it must not stop before a
+        # leading triplet of a real iterate has converged
         inst = make_instance(n, rank, samples, seed)
         cfg = SolverConfig(rank=rank)
         state = init_state(inst.obs, cfg)
